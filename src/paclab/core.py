@@ -2,14 +2,17 @@
 
 Points are the integers 0..u-1 and labels live in {-1, +1}. Hypotheses are
 fixed label vectors, classes are ordered sets of hypotheses, and a joint
-distribution assigns mass to every (point, label) cell. All values are
-immutable after construction, so they can be shared freely across threads.
+distribution assigns mass to every (point, label) cell. A sample is either
+an ordered Dataset or a CountTable of its cells; SamplePieces hands a sample
+out as contiguous pieces of tables, sliced from a Dataset or drawn on
+demand. Everything except SamplePieces is immutable after construction, so
+it can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +25,8 @@ __all__ = [
     "DiscreteDistribution",
     "Dataset",
     "sample_dataset",
+    "CountTable",
+    "SamplePieces",
     "enumerate_class",
     "subset_rank",
     "subset_unrank",
@@ -320,6 +325,166 @@ def sample_dataset(dist: DiscreteDistribution, n: int, rng) -> Dataset:
     points = cells >> 1
     labels = np.where(cells & 1, 1, -1).astype(np.int8)
     return Dataset(points, labels, dist.domain_size)
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """A sample with its order forgotten: occurrences of each (point, label) cell.
+
+    counts[i, 0] counts draws of point i with label -1 and counts[i, 1]
+    draws with label +1. Every learner and empirical measure reads a sample
+    only through these totals, so a table costs O(domain) whatever the
+    sample size. len() is the number of samples.
+    """
+
+    counts: np.ndarray
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        raw = np.asarray(self.counts)
+        if raw.ndim != 2 or raw.shape[1] != 2 or raw.shape[0] == 0:
+            raise ValueError("counts must have shape (domain size, 2)")
+        if raw.dtype.kind not in "biu":
+            raise ValueError("counts must be integers")
+        if (raw < 0).any():
+            raise ValueError("counts must be nonnegative")
+        _init_table(self, np.array(raw, dtype=np.int64, copy=True))
+
+    @classmethod
+    def of(cls, data) -> "CountTable":
+        """The table of a Dataset; a CountTable is returned as it is."""
+        if isinstance(data, CountTable):
+            return data
+        return _trusted_table(
+            _cell_counts(data.points, data.labels, data.domain_size)
+        )
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def domain_size(self) -> int:
+        return int(self.counts.shape[0])
+
+    def point_counts(self) -> np.ndarray:
+        """Occurrences of each point, labels merged."""
+        return self.counts.sum(axis=1)
+
+    def mistakes(self, labels: np.ndarray):
+        """Mistake count of a label vector, or of each row of a label matrix.
+
+        A labeling pays every +1 sample except where it predicts +1, where
+        it pays the -1 samples instead: one integer product per row.
+        """
+        negative, positive = self.counts[:, 0], self.counts[:, 1]
+        return (labels == 1) @ (negative - positive) + int(positive.sum())
+
+    def restrict(self, mask: np.ndarray) -> "CountTable":
+        """The samples that fall on the points where mask is true."""
+        return _trusted_table(np.where(mask[:, None], self.counts, 0))
+
+
+def _init_table(table: CountTable, counts: np.ndarray) -> None:
+    counts.setflags(write=False)
+    object.__setattr__(table, "counts", counts)
+    object.__setattr__(table, "size", int(counts.sum()))
+
+
+def _trusted_table(counts: np.ndarray) -> CountTable:
+    """Wrap int64 counts the package computed itself, skipping validation."""
+    table = object.__new__(CountTable)
+    _init_table(table, counts)
+    return table
+
+
+def _cell_counts(points: np.ndarray, labels: np.ndarray, domain_size: int) -> np.ndarray:
+    cells = points * 2 + (labels == 1)
+    return np.bincount(cells, minlength=2 * domain_size).reshape(-1, 2)
+
+
+class SamplePieces:
+    """A sample of known size, handed out as contiguous pieces of count tables.
+
+    take(size) returns the table of the next size samples. The pieces come
+    either from an ordered Dataset by exact slicing (of), or are drawn on
+    demand from a distribution with one multinomial draw each (drawn). Given the pieces already taken, the rest of an i.i.d. sample is
+    independent of them, so drawn pieces have exactly the law of slicing n
+    ordered draws, at O(domain) cost per piece whatever its size. Draws
+    happen in the order the pieces are taken.
+    """
+
+    __slots__ = ("domain_size", "_draw", "_cursor", "_stop", "_taken")
+
+    def __init__(self, size: int, domain_size: int, draw, start: int = 0):
+        """draw(start, size) must return the int64 (domain_size, 2) counts of
+        the samples at positions start .. start + size - 1."""
+        if size < 0:
+            raise ValueError("size must be nonnegative")
+        self.domain_size = int(domain_size)
+        self._draw = draw
+        self._cursor = start
+        self._stop = start + size
+        self._taken = np.zeros((self.domain_size, 2), dtype=np.int64)
+
+    @classmethod
+    def of(cls, data) -> "SamplePieces":
+        """Pieces of a Dataset, by exact slicing and counting; SamplePieces
+        are returned as they are."""
+        if isinstance(data, SamplePieces):
+            return data
+
+        def draw(start: int, size: int) -> np.ndarray:
+            window = slice(start, start + size)
+            return _cell_counts(data.points[window], data.labels[window], data.domain_size)
+
+        return cls(len(data), data.domain_size, draw)
+
+    @classmethod
+    def drawn(cls, dist: DiscreteDistribution, n: int, rng) -> "SamplePieces":
+        """n i.i.d. samples from the joint mass table, drawn piece by piece.
+
+        rng may be an RngStream (a fresh generator is taken from it) or an
+        already-positioned numpy Generator.
+        """
+        if n < 1:
+            raise ValueError("need at least one sample")
+        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        flat = dist.mass.reshape(-1)
+        probabilities = flat / flat.sum()
+
+        def draw(start: int, size: int) -> np.ndarray:
+            return gen.multinomial(size, probabilities).reshape(-1, 2)
+
+        return cls(n, dist.domain_size, draw)
+
+    def __len__(self) -> int:
+        """Samples not yet handed out."""
+        return self._stop - self._cursor
+
+    def take(self, size: int) -> CountTable:
+        """The table of the next size samples."""
+        if not 0 <= size <= len(self):
+            raise ValueError(f"cannot take {size} of {len(self)} remaining samples")
+        counts = self._draw(self._cursor, size)
+        self._cursor += size
+        self._taken += counts
+        return _trusted_table(counts)
+
+    def split(self, size: int) -> "SamplePieces":
+        """The next size samples as pieces of their own.
+
+        The split-off pieces share this sample's source, so with drawn
+        pieces they must be taken before this sample's next piece.
+        """
+        if not 0 <= size <= len(self):
+            raise ValueError(f"cannot split {size} of {len(self)} remaining samples")
+        child = SamplePieces(size, self.domain_size, self._draw, self._cursor)
+        self._cursor += size
+        return child
+
+    def taken(self) -> CountTable:
+        """The table of every piece taken so far."""
+        return _trusted_table(self._taken.copy())
 
 
 def vc_dimension_bruteforce(klass: HypothesisClass, max_domain: int = 24) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, HypothesisClass, enumerate_class
+from .core import CountTable, HypothesisClass, enumerate_class
 
 __all__ = [
     "TheoryConstants",
@@ -23,7 +23,6 @@ __all__ = [
     "erm",
     "near_optimal_set",
     "find_disagreeing_pair",
-    "find_disagreeing_pair_sampled",
     "make_schedule",
     "erm_reference_rate",
 ]
@@ -118,38 +117,33 @@ def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTAN
     return float(out) if out.ndim == 0 else out
 
 
-def _label_counts(data: Dataset) -> np.ndarray:
-    """Occurrences of each (point, label) cell, shape (domain, 2)."""
-    cells = data.points * 2 + (data.labels == 1)
-    return np.bincount(cells, minlength=2 * data.domain_size).reshape(-1, 2)
-
-
-def _mistake_counts(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Integer mistake totals per hypothesis row."""
-    positive = matrix == 1
-    return positive @ counts[:, 0] + (~positive) @ counts[:, 1]
-
-
-def erm(klass: HypothesisClass, data: Dataset) -> tuple[int, float]:
-    """Index and empirical error of the best hypothesis, lowest index on ties."""
-    if len(data) == 0:
+def _mistake_counts(klass: HypothesisClass, data) -> tuple[np.ndarray, int]:
+    """Integer mistake totals per hypothesis row, and the sample size."""
+    table = CountTable.of(data)
+    if len(table) == 0:
         raise ValueError("empty sample set")
-    mistakes = _mistake_counts(enumerate_class(klass).matrix, _label_counts(data))
+    return table.mistakes(enumerate_class(klass).matrix), len(table)
+
+
+def erm(klass: HypothesisClass, data) -> tuple[int, float]:
+    """Index and empirical error of the best hypothesis, lowest index on ties.
+
+    data is a CountTable or a Dataset, as are the samples of the two
+    functions below.
+    """
+    mistakes, n = _mistake_counts(klass, data)
     best = int(np.argmin(mistakes))
-    return best, int(mistakes[best]) / len(data)
+    return best, int(mistakes[best]) / n
 
 
-def near_optimal_set(klass: HypothesisClass, data: Dataset, gamma: float, allowance: float) -> np.ndarray:
+def near_optimal_set(klass: HypothesisClass, data, gamma: float, allowance: float) -> np.ndarray:
     """Sorted indices of hypotheses with empirical error at most gamma plus
     the allowance. Always contains the minimizer when gamma is attained."""
-    if len(data) == 0:
-        raise ValueError("empty sample set")
-    mistakes = _mistake_counts(enumerate_class(klass).matrix, _label_counts(data))
-    errors = mistakes / len(data)
-    return np.flatnonzero(errors <= gamma + allowance)
+    mistakes, n = _mistake_counts(klass, data)
+    return np.flatnonzero(mistakes / n <= gamma + allowance)
 
 
-def find_disagreeing_pair(klass: HypothesisClass, index_set, data: Dataset, threshold: float):
+def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
     """First index pair disagreeing on at least a threshold fraction of samples.
 
     The scan is lexicographic over the sorted index set; returns None when no
@@ -158,54 +152,17 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data: Dataset, thre
     idx = np.unique(np.asarray(index_set, dtype=np.int64))
     if idx.size < 2:
         return None
-    if len(data) == 0:
+    table = CountTable.of(data)
+    if len(table) == 0:
         raise ValueError("empty sample set")
     rows = enumerate_class(klass).matrix[idx]
-    point_counts = np.bincount(data.points, minlength=klass.domain_size)
-    n = len(data)
+    point_counts = table.point_counts()
+    n = len(table)
     for a in range(idx.size - 1):
         fractions = ((rows[a + 1 :] != rows[a]) @ point_counts) / n
         hits = np.flatnonzero(fractions >= threshold)
         if hits.size:
             return int(idx[a]), int(idx[a + 1 + hits[0]])
-    return None
-
-
-def find_disagreeing_pair_sampled(
-    klass: HypothesisClass,
-    index_set,
-    data: Dataset,
-    threshold: float,
-    rng: np.random.Generator,
-    sample_size: int = 100_000,
-):
-    """Pair search over a random subset of index pairs.
-
-    Meant for candidate sets too large for the quadratic scan. Sampled pair
-    ranks are scanned in the same lexicographic order, so a returned pair is
-    always genuine, but a qualifying pair outside the sample is missed. Small
-    sets fall through to the exhaustive scan.
-    """
-    idx = np.unique(np.asarray(index_set, dtype=np.int64))
-    k = idx.size
-    total = k * (k - 1) // 2
-    if total <= sample_size:
-        return find_disagreeing_pair(klass, idx, data, threshold)
-    if len(data) == 0:
-        raise ValueError("empty sample set")
-    ranks = np.unique(rng.integers(0, total, size=sample_size))
-    row_sizes = np.arange(k - 1, 0, -1)
-    offsets = np.cumsum(row_sizes)
-    first = np.searchsorted(offsets, ranks, side="right")
-    row_start = offsets - row_sizes
-    second = first + 1 + (ranks - row_start[first])
-    rows = enumerate_class(klass).matrix
-    point_counts = np.bincount(data.points, minlength=klass.domain_size)
-    n = len(data)
-    for a, b in zip(first, second):
-        fraction = int((rows[idx[a]] != rows[idx[b]]) @ point_counts) / n
-        if fraction >= threshold:
-            return int(idx[a]), int(idx[b])
     return None
 
 

@@ -6,10 +6,15 @@ and records one strongly-disagreeing pair per round. The composite routes a
 point through a holdout-fitted hypothesis chosen by whether all recorded
 pairs agree there. The wrapper estimates the noise level on one third of the
 data, fits on the second, and validates against a plain minimizer on the
-rest. Nothing here draws randomness except the optional sampled pair search.
+rest.
 
-Every iteration keeps its filtered block on the trace, so the diagnostic
-functions can recompute conditional quantities exactly afterwards.
+A sample reaches training as SamplePieces: contiguous pieces read as count
+tables, either sliced from an ordered Dataset or drawn on demand at
+O(domain) cost per piece whatever the sample size. Nothing here draws
+randomness of its own; drawn pieces are drawn in the order they are taken.
+
+Every iteration keeps its filtered block's table on the trace, so the
+diagnostic functions can recompute conditional quantities exactly afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .core import Dataset, DiscreteDistribution, Hypothesis, HypothesisClass, enumerate_class
+from .core import (
+    CountTable,
+    DiscreteDistribution,
+    Hypothesis,
+    HypothesisClass,
+    SamplePieces,
+    enumerate_class,
+)
 from .engine import (
     DEFAULT_CONSTANTS,
     Schedule,
@@ -28,7 +40,6 @@ from .engine import (
     deviation_bound,
     erm,
     find_disagreeing_pair,
-    find_disagreeing_pair_sampled,
     make_schedule,
     near_optimal_set,
 )
@@ -94,13 +105,14 @@ def predict(model, x):
 class IterationRecord:
     """One filtering round: the block, what survived, and what was chosen.
 
+    kept is the table of the block's samples that passed the filter.
     min_error and candidates are None when the round broke before computing
     them; pair_indices is None on any terminal round.
     """
 
     step: int
     block_size: int
-    kept: Dataset
+    kept: CountTable
     min_error: float | None
     candidates: np.ndarray | None
     pair_indices: tuple[int, int] | None
@@ -132,7 +144,7 @@ class CoreTrace:
         return len(self.selected)
 
 
-def _erm_or_default(klass: HypothesisClass, side: Dataset) -> tuple[Hypothesis, bool]:
+def _erm_or_default(klass: HypothesisClass, side: CountTable) -> tuple[Hypothesis, bool]:
     if len(side) == 0:
         return klass.hypothesis(0), True
     index, _ = erm(klass, side)
@@ -140,46 +152,43 @@ def _erm_or_default(klass: HypothesisClass, side: Dataset) -> tuple[Hypothesis, 
 
 
 def core_train(
-    data: Dataset,
+    data,
     klass: HypothesisClass,
     d: int,
     delta: float,
     err_estimate: float,
     consts: TheoryConstants = DEFAULT_CONSTANTS,
-    rng: np.random.Generator | None = None,
-    sampled_pair_search: bool = False,
 ) -> tuple[CompositeClassifier, CoreTrace]:
-    """Fit the routing classifier on an ordered dataset.
+    """Fit the routing classifier on an ordered sample.
 
-    The first half feeds the filtering rounds, the second half fits the two
-    routing hypotheses. Blocks are contiguous; the last block absorbs the
-    remainder. An empty filtered block ends the loop with its own reason
-    rather than aborting. When sampled_pair_search is set, candidate sets
-    larger than 2000 use the randomized pair scan and rng must be given.
+    data is a Dataset or SamplePieces, which this call consumes. The first
+    half feeds the filtering rounds, the second half fits the two routing
+    hypotheses. Blocks are contiguous; the last block absorbs the
+    remainder. Every block is taken, in order, before the holdout, whether
+    or not the loop reaches it. An empty filtered block ends the loop with
+    its own reason rather than aborting.
 
     Returns the classifier and a trace recording every round.
     """
-    if len(data) < 2:
+    pieces = SamplePieces.of(data)
+    m = len(pieces)
+    if m < 2:
         raise ValueError("need at least 2 samples to split in half")
-    if sampled_pair_search and rng is None:
-        raise ValueError("sampled_pair_search requires an explicit rng")
-    half = len(data) // 2
-    filter_part = data.take(slice(0, half))
-    holdout_part = data.take(slice(half, None))
+    half = m // 2
     schedule = make_schedule(err_estimate, half, d, delta, consts)
     rounds = schedule.rounds
     base_block = half // rounds
+    blocks = [pieces.take(base_block) for _ in range(rounds - 1)]
+    blocks.append(pieces.take(half - (rounds - 1) * base_block))
+    holdout_part = pieces.take(m - half)
 
     records: list[IterationRecord] = []
     selected: list[tuple[Hypothesis, Hypothesis]] = []
     selected_indices: list[tuple[int, int]] = []
     reason = REASON_COMPLETED
-    for step in range(1, rounds + 1):
-        low = (step - 1) * base_block
-        high = step * base_block if step < rounds else half
-        block = filter_part.take(slice(low, high))
+    for step, block in enumerate(blocks, start=1):
         passing = measures.agreement_points(selected, klass.domain_size)
-        kept = block.take(passing[block.points]) if len(block) else block
+        kept = block.restrict(passing)
         if len(kept) == 0:
             records.append(IterationRecord(step, len(block), kept, None, None, None))
             reason = REASON_EMPTY_BLOCK
@@ -192,10 +201,7 @@ def core_train(
         allowance = deviation_bound(half / rounds, d, delta, min_error, consts)
         candidates = near_optimal_set(klass, kept, min_error, allowance)
         threshold = min_error / max(math.log(1.0 / min_error), 1.0)
-        if sampled_pair_search and candidates.size > 2000:
-            pair = find_disagreeing_pair_sampled(klass, candidates, kept, threshold, rng)
-        else:
-            pair = find_disagreeing_pair(klass, candidates, kept, threshold)
+        pair = find_disagreeing_pair(klass, candidates, kept, threshold)
         records.append(IterationRecord(step, len(block), kept, min_error, candidates, pair))
         if pair is None:
             reason = REASON_NO_PAIR
@@ -204,9 +210,8 @@ def core_train(
         selected_indices.append(pair)
 
     final_mask = measures.agreement_points(selected, klass.domain_size)
-    on_agree_side = final_mask[holdout_part.points] if len(holdout_part) else np.zeros(0, bool)
-    agree_side = holdout_part.take(on_agree_side)
-    disagree_side = holdout_part.take(~on_agree_side)
+    agree_side = holdout_part.restrict(final_mask)
+    disagree_side = holdout_part.restrict(~final_mask)
     h_eq, eq_defaulted = _erm_or_default(klass, agree_side)
     h_neq, neq_defaulted = _erm_or_default(klass, disagree_side)
 
@@ -253,28 +258,27 @@ class TrainResult:
 
 
 def train(
-    data: Dataset,
+    data,
     klass: HypothesisClass,
     d: int,
     delta: float,
     consts: TheoryConstants = DEFAULT_CONSTANTS,
-    rng: np.random.Generator | None = None,
-    sampled_pair_search: bool = False,
 ) -> TrainResult:
-    """Estimate, fit, validate: the full training pipeline on one dataset.
+    """Estimate, fit, validate: the full training pipeline on one sample.
 
-    The first third estimates the attainable error level (clamped away from
-    0 and 1 so the schedule is well defined), the middle third trains both
+    data is a Dataset or SamplePieces, which this call consumes. The first
+    third estimates the attainable error level (clamped away from 0 and 1
+    so the schedule is well defined), the middle third trains both
     candidates, and the remainder picks whichever validates better, with
-    ties going to the routing classifier.
+    ties going to the routing classifier. Pieces are taken in sample order:
+    the estimate third, core_train's blocks and holdout, then the rest.
     """
-    n = len(data)
+    pieces = SamplePieces.of(data)
+    n = len(pieces)
     if n < 3:
         raise ValueError("need at least 3 samples to split in thirds")
     third = n // 3
-    part_estimate = data.take(slice(0, third))
-    part_fit = data.take(slice(third, 2 * third))
-    part_validate = data.take(slice(2 * third, None))
+    part_estimate = pieces.take(third)
 
     _, estimate = erm(klass, part_estimate)
     if estimate == 0.0:
@@ -282,11 +286,11 @@ def train(
     elif estimate == 1.0:
         estimate = 1.0 - 1.0 / (2 * len(part_estimate))
 
-    core_classifier, trace = core_train(
-        part_fit, klass, d, delta, estimate, consts, rng, sampled_pair_search
-    )
-    erm_index, _ = erm(klass, part_fit)
+    part_fit = pieces.split(third)
+    core_classifier, trace = core_train(part_fit, klass, d, delta, estimate, consts)
+    erm_index, _ = erm(klass, part_fit.taken())
     erm_hypothesis = klass.hypothesis(erm_index)
+    part_validate = pieces.take(len(pieces))
 
     validation_core = measures.empirical_error(core_classifier.tabulate(), part_validate)
     validation_erm = measures.empirical_error(erm_hypothesis, part_validate)
@@ -361,15 +365,12 @@ def diagnose_failure_events(
             raise ValueError("trace does not retain the filtered blocks")
         conditioned = measures.condition_on_agreement(dist, trace.selected[:position])
         cond = conditioned.conditional
-        kept = record.kept
+        kept = CountTable.of(record.kept)
         m = len(kept)
         cand = record.candidates
         cand_matrix = matrix[cand]
 
-        cells = kept.points * 2 + (kept.labels == 1)
-        counts = np.bincount(cells, minlength=2 * klass.domain_size).reshape(-1, 2)
-        positive = cand_matrix == 1
-        empirical = (positive @ counts[:, 0] + (~positive) @ counts[:, 1]) / m
+        empirical = kept.mistakes(cand_matrix) / m
         truth = _true_errors(cand_matrix, cond)
         deviations = np.abs(empirical - truth)
         allowances = deviation_bound(
@@ -385,7 +386,7 @@ def diagnose_failure_events(
         worst_pair_allowance = 0.0
         if cand.size >= 2:
             marginal = cond.point_marginal()
-            point_counts = np.bincount(kept.points, minlength=klass.domain_size)
+            point_counts = kept.point_counts()
             best_excess = -math.inf
             for a in range(cand.size - 1):
                 differs = cand_matrix[a + 1 :] != cand_matrix[a]

@@ -1,7 +1,8 @@
 """Error rates, disagreement rates, and exact conditioning.
 
 Everything here is a closed-form computation over mass tables or an integer
-count over samples; nothing is randomized. Pair lists are plain sequences of
+count over samples (a Dataset, or for empirical_error also a CountTable);
+nothing is randomized. Pair lists are plain sequences of
 (Hypothesis, Hypothesis) tuples sharing one domain.
 """
 
@@ -11,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DiscreteDistribution, Hypothesis, HypothesisClass, enumerate_class
+from .core import (
+    CountTable,
+    Dataset,
+    DiscreteDistribution,
+    Hypothesis,
+    HypothesisClass,
+    enumerate_class,
+)
 
 __all__ = [
     "ConditioningResult",
@@ -29,16 +37,19 @@ __all__ = [
 ]
 
 
-def _require_samples(data: Dataset) -> None:
+def _require_samples(data) -> None:
     if len(data) == 0:
         raise ValueError("empty sample set")
 
 
-def empirical_error(h: Hypothesis, data: Dataset) -> float:
-    """Fraction of samples where h disagrees with the observed label."""
-    _require_samples(data)
-    wrong = int(np.count_nonzero(h.labels[data.points] != data.labels))
-    return wrong / len(data)
+def empirical_error(h: Hypothesis, data) -> float:
+    """Fraction of samples where h disagrees with the observed label.
+
+    data is a CountTable or a Dataset.
+    """
+    table = CountTable.of(data)
+    _require_samples(table)
+    return int(table.mistakes(h.labels)) / len(table)
 
 
 def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:

@@ -8,9 +8,14 @@ derives its randomness from (seed, global index), so results are identical
 at any thread count and rows are emitted in canonical order.
 
 Output is RFC-4180 CSV with LF endings: `#` metadata comments (version,
-kind, config hash, seed, and one timestamp line that also carries the wall
-time), then a header row, then data. The timestamp line is the only part
-that varies between identical runs.
+kind, config hash, seed, one timestamp line that also carries the wall
+time, and the numpy version, which fixes the realized random draws), then
+a header row, then data. The timestamp line is the only part that varies
+between identical runs.
+
+A sweep trial never materializes its sample: the pieces the learner reads
+are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
+costs the same at any n.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from .adversary import (
     skew_for_domain,
 )
 from .config import ConfigError, ExperimentConfig, fnv1a64
-from .core import RngStream, enumerate_class, sample_dataset
-from .engine import erm
+from .core import RngStream, SamplePieces, enumerate_class
 from .experts import train
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
@@ -88,7 +92,12 @@ _ADVERSARY_CHUNK = 100
 @dataclass(frozen=True)
 class ResultRow:
     """One algorithm's outcome on one trial. runtime_ms stays out of the CSV
-    so identical runs stay byte-identical."""
+    so identical runs stay byte-identical; it is None for the ERM reference,
+    which is a by-product of training and is not timed on its own.
+
+    excess_error is measured against the class minimum tau_true, so an
+    improper output that beats every hypothesis in the class reports a
+    negative excess (bounded below by the Bayes error)."""
 
     config_hash: str
     cell: int
@@ -100,7 +109,7 @@ class ResultRow:
     excess_error: float
     break_reason: str
     r: int | None
-    runtime_ms: float
+    runtime_ms: float | None
 
     def csv_values(self) -> tuple:
         return (
@@ -169,6 +178,7 @@ def _write_csv(path: str, config: ExperimentConfig, columns, rows, runtime_ms: f
         handle.write(f"# config_hash: {config.config_hash}\n")
         handle.write(f"# seed: {config.seed}\n")
         handle.write(f"# generated_at: {stamp} runtime_ms: {runtime_ms:.0f}\n")
+        handle.write(f"# numpy: {np.__version__}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -188,50 +198,52 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
     return fixture
 
 
-def _class_minimum_error(fixture: Fixture) -> float:
-    matrix = fixture.klass.matrix
-    positive = matrix == 1
-    errors = positive @ fixture.distribution.mass[:, 0] + (~positive) @ fixture.distribution.mass[:, 1]
-    return float(errors.min())
+def _error_floors(fixture: Fixture) -> tuple[float, float]:
+    """The class minimum error (tau_true) and the Bayes error of a fixture."""
+    mass = fixture.distribution.mass
+    positive = fixture.klass.matrix == 1
+    errors = positive @ mass[:, 0] + (~positive) @ mass[:, 1]
+    return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 
-def _sweep_trial(config: ExperimentConfig, cell: int, fixture: Fixture, n: int, trial: int):
+def _sweep_trial(
+    config: ExperimentConfig,
+    cell: int,
+    fixture: Fixture,
+    floors: tuple[float, float],
+    n: int,
+    trial: int,
+):
     trial_id = cell * config.trials + trial
-    stream = RngStream(config.seed, 1 + trial_id)
-    data = sample_dataset(fixture.distribution, n, stream)
+    pieces = SamplePieces.drawn(fixture.distribution, n, RngStream(config.seed, 1 + trial_id))
     d = fixture.vc_dim
-    tau_true = _class_minimum_error(fixture)
+    tau_true, bayes_error = floors
 
     started = time.perf_counter()
-    result = train(data, fixture.klass, d, config.delta, config.constants)
+    result = train(pieces, fixture.klass, d, config.delta, config.constants)
     train_ms = (time.perf_counter() - started) * 1000.0
-
-    third = n // 3
-    fit_part = data.take(slice(third, 2 * third))
-    started = time.perf_counter()
-    erm(fixture.klass, fit_part)
-    erm_ms = (time.perf_counter() - started) * 1000.0
 
     trained_error = true_error(result.output_hypothesis(), fixture.distribution)
     erm_error = true_error(result.erm_hypothesis, fixture.distribution)
     rows = []
-    for algorithm, excess, reason, r, ms in (
+    for algorithm, error, reason, r, ms in (
         (
             "disagreeing_experts",
-            trained_error - tau_true,
+            trained_error,
             result.trace.break_reason,
             result.trace.pair_count,
             train_ms,
         ),
-        ("erm", erm_error - tau_true, "", None, erm_ms),
+        ("erm", erm_error, "", None, None),
     ):
-        if excess < -1e-12:
+        if error < bayes_error - 1e-12:
             raise RuntimeError(
-                f"excess error {excess!r} below the class minimum on trial {trial_id}"
+                f"true error {error!r} below the Bayes error {bayes_error!r} on trial {trial_id}"
             )
         rows.append(
             ResultRow(
-                config.config_hash, cell, trial_id, algorithm, n, d, tau_true, excess, reason, r, ms
+                config.config_hash, cell, trial_id, algorithm, n, d, tau_true,
+                error - tau_true, reason, r, ms,
             )
         )
 
@@ -259,16 +271,17 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
     taus = config.grid_tau if config.grid_tau is not None else (None,)
     cells = [(tau, n) for tau in taus for n in config.grid_n]
     fixtures = [_build_fixture(config, tau) for tau, _ in cells]
+    floors = [_error_floors(fixture) for fixture in fixtures]
 
     jobs = [
-        (cell, fixtures[cell], n, trial)
+        (cell, n, trial)
         for cell, (_, n) in enumerate(cells)
         for trial in range(config.trials)
     ]
 
     def worker(job):
-        cell, fixture, n, trial = job
-        return _sweep_trial(config, cell, fixture, n, trial)
+        cell, n, trial = job
+        return _sweep_trial(config, cell, fixtures[cell], floors[cell], n, trial)
 
     outcomes = _ordered_map(worker, jobs, threads)
     rows = [row for pair, _ in outcomes for row in pair]

@@ -18,7 +18,6 @@ from paclab import (
     erm,
     erm_reference_rate,
     find_disagreeing_pair,
-    find_disagreeing_pair_sampled,
     make_schedule,
     near_optimal_set,
 )
@@ -258,42 +257,6 @@ class TestFindDisagreeingPair:
         assert (
             empirical_disagreement(klass.hypothesis(i), klass.hypothesis(j), data)
             >= 0.3
-        )
-
-
-class TestFindDisagreeingPairSampled:
-    def test_small_sets_match_exhaustive_scan(self):
-        gen = RngStream(11, 1).generator()
-        for _ in range(30):
-            klass, data = random_instance(gen, max_hypotheses=12)
-            threshold = float(gen.uniform(0.05, 0.9))
-            sampled = find_disagreeing_pair_sampled(
-                klass, range(len(klass)), data, threshold, gen
-            )
-            exact = find_disagreeing_pair(klass, range(len(klass)), data, threshold)
-            assert sampled == exact
-
-    def test_large_set_returns_genuine_pair(self):
-        """With every pair disagreeing heavily, sampling must find one."""
-        u = 8
-        rows = np.array(
-            [
-                [1 if (i >> b) & 1 else -1 for b in range(u)]
-                for i in range(2**u)
-            ],
-            dtype=np.int8,
-        )
-        klass = HypothesisClass(rows)
-        data = Dataset(np.arange(u), np.ones(u, dtype=np.int8), u)
-        gen = RngStream(12, 1).generator()
-        result = find_disagreeing_pair_sampled(
-            klass, range(len(klass)), data, 1 / u, gen, sample_size=200
-        )
-        assert result is not None
-        i, j = result
-        assert (
-            empirical_disagreement(klass.hypothesis(i), klass.hypothesis(j), data)
-            >= 1 / u
         )
 
 

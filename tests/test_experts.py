@@ -176,34 +176,10 @@ class TestCoreTrain:
             "empty_Ti",
         )
 
-    def test_sampled_search_matches_exhaustive_on_small_sets(
-        self, complement_pair_class
-    ):
-        data = alternating_dataset(20_000)
-        plain, plain_trace = core_train(
-            data, complement_pair_class, d=1, delta=0.1, err_estimate=0.5
-        )
-        sampled, sampled_trace = core_train(
-            data,
-            complement_pair_class,
-            d=1,
-            delta=0.1,
-            err_estimate=0.5,
-            rng=RngStream(3, 1).generator(),
-            sampled_pair_search=True,
-        )
-        assert sampled_trace.selected_indices == plain_trace.selected_indices
-        assert sampled.tabulate().labels.tolist() == plain.tabulate().labels.tolist()
-
     def test_validation(self, complement_pair_class):
         tiny = alternating_dataset(2).take(slice(0, 1))
         with pytest.raises(ValueError, match="at least 2"):
             core_train(tiny, complement_pair_class, 1, 0.1, 0.5)
-        data = alternating_dataset(100)
-        with pytest.raises(ValueError, match="rng"):
-            core_train(
-                data, complement_pair_class, 1, 0.1, 0.5, sampled_pair_search=True
-            )
 
 
 class TestTrain:

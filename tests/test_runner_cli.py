@@ -166,6 +166,7 @@ class TestUpperSweep:
         assert comments[2] == f"# config_hash: {config.config_hash}"
         assert comments[3] == f"# seed: {config.seed}"
         assert comments[4].startswith("# generated_at: ")
+        assert comments[5] == f"# numpy: {np.__version__}"
         assert len(rows) == len(result.rows)
         for text_row, row in zip(rows, result.rows):
             assert float(text_row[7]) == row.excess_error
