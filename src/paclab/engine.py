@@ -22,6 +22,7 @@ __all__ = [
     "deviation_bound",
     "erm",
     "near_optimal_set",
+    "pair_disagreements",
     "find_disagreeing_pair",
     "make_schedule",
     "erm_reference_rate",
@@ -143,11 +144,53 @@ def near_optimal_set(klass: HypothesisClass, data, gamma: float, allowance: floa
     return np.flatnonzero(mistakes / n <= gamma + allowance)
 
 
+_PAIR_CHUNK_CELLS = 8_192
+"""Pairs per chunk of the pair kernel: bounds its working memory by cells,
+whatever the number of rows."""
+
+
+def pair_disagreements(rows: np.ndarray, weights):
+    """Weighted disagreement of every row of a label matrix with every later row.
+
+    rows is a (k, u) label matrix and weights a (u,) vector of per-point
+    weights (sample counts, point masses), or a (w, u) stack of them.
+    Yields (a0, block, later) for consecutive row chunks [a0, a1):
+    block[..., i, j] is the total weight of the points where rows a0 + i and
+    a0 + 1 + j differ, and later[i, j] (j >= i) marks the cells that hold a
+    pair a < b. Reading the later cells chunk by chunk, row by row, visits
+    the pairs in lexicographic order.
+
+    block = P[a0:a1]·diag(w)·Q[a0+1:]ᵀ + Q[a0:a1]·diag(w)·P[a0+1:]ᵀ with
+    P = (rows == 1) and Q = 1 - P, taken as one product whose inner index
+    interleaves the two terms point by point. Every term is a weight or
+    zero, so integer weights give exact integers. A chunk holds about
+    _PAIR_CHUNK_CELLS pairs, so memory is O(k·u) plus one chunk per weight
+    vector, never k x k.
+    """
+    positive = rows == 1
+    k, u = positive.shape
+    right = np.empty((k, 2 * u))
+    right[:, 0::2] = ~positive
+    right[:, 1::2] = positive
+    # left = (1 - right)·diag(w) holds P·w and Q·w interleaved; it is built
+    # per chunk, so only right spans all k rows.
+    w = np.repeat(np.asarray(weights, dtype=np.float64), 2, axis=-1)[..., None, :]
+    a0 = 0
+    while a0 < k - 1:
+        width = k - a0 - 1
+        a1 = min(k - 1, a0 + max(1, _PAIR_CHUNK_CELLS // width))
+        block = ((1.0 - right[a0:a1]) * w) @ right[a0 + 1 :].T
+        later = np.arange(width) >= np.arange(a1 - a0)[:, None]
+        yield a0, block, later
+        a0 = a1
+
+
 def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
     """First index pair disagreeing on at least a threshold fraction of samples.
 
-    The scan is lexicographic over the sorted index set; returns None when no
-    pair qualifies or fewer than two indices were given.
+    The scan is lexicographic over the sorted index set, chunk by chunk
+    through pair_disagreements; returns None when no pair qualifies or
+    fewer than two indices were given.
     """
     idx = np.unique(np.asarray(index_set, dtype=np.int64))
     if idx.size < 2:
@@ -156,13 +199,12 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
     if len(table) == 0:
         raise ValueError("empty sample set")
     rows = enumerate_class(klass).matrix[idx]
-    point_counts = table.point_counts()
     n = len(table)
-    for a in range(idx.size - 1):
-        fractions = ((rows[a + 1 :] != rows[a]) @ point_counts) / n
-        hits = np.flatnonzero(fractions >= threshold)
+    for a0, counts, later in pair_disagreements(rows, table.point_counts()):
+        hits = np.flatnonzero(later & (counts / n >= threshold))
         if hits.size:
-            return int(idx[a]), int(idx[a + 1 + hits[0]])
+            i, j = divmod(int(hits[0]), counts.shape[1])
+            return int(idx[a0 + i]), int(idx[a0 + 1 + j])
     return None
 
 

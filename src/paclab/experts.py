@@ -42,6 +42,7 @@ from .engine import (
     find_disagreeing_pair,
     make_schedule,
     near_optimal_set,
+    pair_disagreements,
 )
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "TrainResult",
     "core_train",
     "train",
-    "predict",
     "IterationEvents",
     "FailureEventReport",
     "diagnose_failure_events",
@@ -94,11 +94,6 @@ class CompositeClassifier:
 
     def __call__(self, x):
         return self.tabulate()(x)
-
-
-def predict(model, x):
-    """Evaluate a Hypothesis or CompositeClassifier at point index x."""
-    return model(x)
 
 
 @dataclass(frozen=True)
@@ -331,11 +326,6 @@ class FailureEventReport:
     iterations: tuple
 
 
-def _true_errors(matrix: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
-    positive = matrix == 1
-    return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
-
-
 def diagnose_failure_events(
     trace: CoreTrace,
     klass: HypothesisClass,
@@ -353,6 +343,12 @@ def diagnose_failure_events(
     single-member candidate set has no pairs, so its pair event is vacuously
     false. The allowance for each witness is taken at the smaller of its
     true and empirical levels. Blocks of at most one sample are flagged.
+
+    The worst witness is the one with the largest deviation in excess of its
+    allowance; among equal excesses the lowest candidate position wins, and
+    for pairs the lexicographically first (a, b) in candidate order. Pairs
+    are scored in chunks by engine.pair_disagreements, so no candidates x
+    candidates array is formed.
     """
     consts = consts if consts is not None else trace.consts
     matrix = enumerate_class(klass).matrix
@@ -371,7 +367,7 @@ def diagnose_failure_events(
         cand_matrix = matrix[cand]
 
         empirical = kept.mistakes(cand_matrix) / m
-        truth = _true_errors(cand_matrix, cond)
+        truth = measures.row_errors(cand_matrix, cond)
         deviations = np.abs(empirical - truth)
         allowances = deviation_bound(
             effective_n, trace.d, trace.delta, np.minimum(empirical, truth), consts
@@ -385,13 +381,10 @@ def diagnose_failure_events(
         worst_pair_deviation = 0.0
         worst_pair_allowance = 0.0
         if cand.size >= 2:
-            marginal = cond.point_marginal()
-            point_counts = kept.point_counts()
+            weights = np.stack([kept.point_counts(), cond.point_marginal()])
             best_excess = -math.inf
-            for a in range(cand.size - 1):
-                differs = cand_matrix[a + 1 :] != cand_matrix[a]
-                true_rates = differs @ marginal
-                empirical_rates = (differs @ point_counts) / m
+            for a0, (counts, true_rates), later in pair_disagreements(cand_matrix, weights):
+                empirical_rates = counts / m
                 pair_devs = np.abs(empirical_rates - true_rates)
                 pair_allow = deviation_bound(
                     effective_n,
@@ -400,13 +393,13 @@ def diagnose_failure_events(
                     np.minimum(empirical_rates, true_rates),
                     consts,
                 ) / 32.0
-                pair_excess = pair_devs - pair_allow
-                b = int(np.argmax(pair_excess))
-                if pair_excess[b] > best_excess:
-                    best_excess = float(pair_excess[b])
-                    worst_pair = (int(cand[a]), int(cand[a + 1 + b]))
-                    worst_pair_deviation = float(pair_devs[b])
-                    worst_pair_allowance = float(pair_allow[b])
+                pair_excess = np.where(later, pair_devs - pair_allow, -math.inf)
+                i, j = np.unravel_index(np.argmax(pair_excess), pair_excess.shape)
+                if pair_excess[i, j] > best_excess:
+                    best_excess = float(pair_excess[i, j])
+                    worst_pair = (int(cand[a0 + i]), int(cand[a0 + 1 + j]))
+                    worst_pair_deviation = float(pair_devs[i, j])
+                    worst_pair_allowance = float(pair_allow[i, j])
             pair_event = best_excess > 0
 
         out.append(
@@ -465,7 +458,7 @@ def exact_progress_report(
     """
     matrix = enumerate_class(klass).matrix
     pair_total = trace.pair_count
-    base_error = float(np.min(_true_errors(matrix, dist)))
+    base_error = float(np.min(measures.row_errors(matrix, dist)))
     if base_error > 0:
         decay_factor = 1.0 - 1.0 / (32.0 * max(math.log(1.0 / base_error), 1.0))
     else:
@@ -475,7 +468,7 @@ def exact_progress_report(
     records = []
     current = dist
     for step in range(1, pair_total + 2):
-        best = float(np.min(_true_errors(matrix, current)))
+        best = float(np.min(measures.row_errors(matrix, current)))
         active = min(step, pair_total)
         if active == 0:
             disagreement_mass = 0.0
@@ -523,7 +516,7 @@ def exact_progress_report(
                 f"step {step}: pair errors differ on their agreement region, "
                 f"{next_e1!r} vs {next_e2!r}"
             )
-        next_best = float(np.min(_true_errors(matrix, nxt)))
+        next_best = float(np.min(measures.row_errors(matrix, nxt)))
         if next_best > 0.5 * (next_e1 + next_e2) + 1e-9:
             raise RuntimeError(
                 f"step {step}: conditional optimum {next_best!r} exceeds the pair average"

@@ -61,11 +61,6 @@ def _random_instance(gen: np.random.Generator):
     return klass, dist
 
 
-def _errors(klass: HypothesisClass, dist: DiscreteDistribution) -> np.ndarray:
-    positive = klass.matrix == 1
-    return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
-
-
 def _region_masses(dist, pair) -> tuple[float, float, np.ndarray]:
     mask = measures.agreement_points([pair], dist.domain_size)
     return float(dist.mass[mask].sum()), float(dist.mass[~mask].sum()), mask
@@ -109,7 +104,7 @@ def _check_average_bound(klass, dist, pair, gen) -> float:
     inner = measures.condition_on_agreement(dist, [pair]).conditional
     e1 = measures.true_error(h1, inner)
     e2 = measures.true_error(h2, inner)
-    best = float(np.min(_errors(klass, inner)))
+    best = float(np.min(measures.row_errors(klass.matrix, inner)))
     return max(abs(e1 - e2), best - 0.5 * (e1 + e2))
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "ConditioningResult",
     "empirical_error",
     "true_error",
+    "row_errors",
     "empirical_disagreement",
     "true_disagreement",
     "fraction_predicting_positive",
@@ -56,6 +57,12 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
     """Exact mass of the (point, label) cells that h mislabels."""
     wrong_column = np.where(h.labels == 1, 0, 1)
     return float(dist.mass[np.arange(dist.domain_size), wrong_column].sum())
+
+
+def row_errors(matrix: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
+    """Exact error of each row of a label matrix: one mass product per row."""
+    positive = matrix == 1
+    return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 
 def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, data: Dataset) -> float:

@@ -41,7 +41,7 @@ from .core import RngStream, SamplePieces, enumerate_class
 from .experts import train
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
-from .measures import true_error
+from .measures import row_errors, true_error
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -201,8 +201,7 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
 def _error_floors(fixture: Fixture) -> tuple[float, float]:
     """The class minimum error (tau_true) and the Bayes error of a fixture."""
     mass = fixture.distribution.mass
-    positive = fixture.klass.matrix == 1
-    errors = positive @ mass[:, 0] + (~positive) @ mass[:, 1]
+    errors = row_errors(fixture.klass.matrix, fixture.distribution)
     return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 
@@ -270,18 +269,19 @@ def _sweep_trial(
 def _run_upper_sweep(config: ExperimentConfig, threads: int):
     taus = config.grid_tau if config.grid_tau is not None else (None,)
     cells = [(tau, n) for tau in taus for n in config.grid_n]
-    fixtures = [_build_fixture(config, tau) for tau, _ in cells]
-    floors = [_error_floors(fixture) for fixture in fixtures]
+    # A fixture depends on tau alone, so each is built once for all its cells.
+    fixtures = {tau: _build_fixture(config, tau) for tau in dict.fromkeys(taus)}
+    floors = {tau: _error_floors(fixture) for tau, fixture in fixtures.items()}
 
     jobs = [
-        (cell, n, trial)
-        for cell, (_, n) in enumerate(cells)
+        (cell, tau, n, trial)
+        for cell, (tau, n) in enumerate(cells)
         for trial in range(config.trials)
     ]
 
     def worker(job):
-        cell, n, trial = job
-        return _sweep_trial(config, cell, fixtures[cell], floors[cell], n, trial)
+        cell, tau, n, trial = job
+        return _sweep_trial(config, cell, fixtures[tau], floors[tau], n, trial)
 
     outcomes = _ordered_map(worker, jobs, threads)
     rows = [row for pair, _ in outcomes for row in pair]

@@ -25,7 +25,6 @@ from paclab import (
     deviation_bound,
     diagnose_failure_events,
     exact_progress_report,
-    predict,
     sample_dataset,
     train,
     two_experts,
@@ -77,9 +76,9 @@ class TestCompositeClassifier:
 
     def test_predict_routes_per_point(self):
         model = self._composite()
-        assert predict(model, 0) == 1
-        assert predict(model, 1) == -1
-        assert predict(hyp(-1, 1), 0) == -1
+        assert model(0) == 1
+        assert model(1) == -1
+        assert hyp(-1, 1)(0) == -1
 
     def test_no_pairs_routes_everything_to_agreement(self):
         model = CompositeClassifier((), hyp(1, -1), hyp(-1, 1))

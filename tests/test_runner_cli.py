@@ -7,6 +7,7 @@ import pytest
 
 from paclab.cli import main
 from paclab.config import ConfigError, parse_config_text
+from paclab.fixtures import FAMILIES, two_experts
 from paclab.runner import (
     ADVERSARY_COLUMNS,
     IDENTITY_COLUMNS,
@@ -120,6 +121,18 @@ class TestUpperSweep:
         assert (1, 0.1, 600) in seen
         assert (2, 0.2, 300) in seen
         assert (3, 0.2, 600) in seen
+
+    def test_each_fixture_is_built_once_per_tau(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_family(**params):
+            built.append(params["tau"])
+            return two_experts(**params)
+
+        monkeypatch.setitem(FAMILIES, "two_experts", counting_family)
+        result = run(sweep_config(tmp_path))
+        assert built == [0.1, 0.2]
+        assert len(result.rows) == 4 * 3 * 2
 
     def test_rerun_is_deterministic(self, tmp_path):
         first = run(sweep_config(tmp_path))
