@@ -6,7 +6,9 @@ points carry the least mass. The generating distribution concentrates mass
 on the d truth points, leaving every other point slightly heavier. Any
 learner whose output misses at least half of the truth points pays a fixed
 error premium, and the exact premium is checked against a closed form on
-every trial.
+every trial. A learner is called as learner(table, instance) with the
+CountTable of the game's sample; a proper learner of the game reads only
+the table and instance.negatives.
 
 Also includes the occupancy simulation used to bound how often sparse cells
 fall below their expected counts.
@@ -14,13 +16,19 @@ fall below their expected counts.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DiscreteDistribution, Hypothesis, HypothesisClass, RngStream, subset_rank
+from .core import (
+    CountTable,
+    DiscreteDistribution,
+    Hypothesis,
+    RngStream,
+    SamplePieces,
+    subset_rank,
+)
 
 __all__ = [
     "AdversaryInstance",
@@ -123,12 +131,15 @@ def choose_parameters(tau: float, d: int, n: int, cap: int) -> tuple[int, float]
     raise ValueError("parameters out of range")
 
 
-def least_frequent_learner(data: Dataset, u: int, d: int) -> Hypothesis:
-    """Label the d least-sampled points negative, breaking ties low."""
-    counts = np.bincount(data.points, minlength=u)
-    order = np.argsort(counts, kind="stable")
-    labels = np.ones(u, dtype=np.int8)
-    labels[order[:d]] = -1
+def least_frequent_learner(table: CountTable, instance: AdversaryInstance) -> Hypothesis:
+    """Label the instance's d least-sampled points negative, breaking ties low.
+
+    Reads only the sample's point counts and the negative count d, never
+    the truth.
+    """
+    order = np.argsort(table.point_counts(), kind="stable")
+    labels = np.ones(table.domain_size, dtype=np.int8)
+    labels[order[: instance.negatives]] = -1
     return Hypothesis(labels)
 
 
@@ -189,16 +200,6 @@ def _draw_subset(u: int, d: int, gen: np.random.Generator) -> np.ndarray:
     return picked
 
 
-def _call_learner(learner, data: Dataset, u: int, d: int, instance: AdversaryInstance):
-    try:
-        arity = len(inspect.signature(learner).parameters)
-    except (TypeError, ValueError):
-        arity = 3
-    if arity >= 4:
-        return learner(data, u, d, instance)
-    return learner(data, u, d)
-
-
 def run_adversary_trials(
     u: int,
     d: int,
@@ -210,11 +211,11 @@ def run_adversary_trials(
 ) -> list[AdversaryTrial]:
     """Repeated games against a random truth labeling.
 
-    Each trial draws the truth uniformly, samples n points from the matched
-    distribution, runs the learner, and records whether it failed. Trial j
-    gets its own child stream, so results do not depend on execution
-    order. Learners taking a fourth argument also receive the instance,
-    which lets test oracles peek at the truth.
+    Each trial draws the truth uniformly, then the count table of n samples
+    from the matched distribution, calls learner(table, instance), and
+    records whether it failed. A learner of the game reads only the table
+    and instance.negatives; test oracles may peek at the truth. Trial j
+    gets its own child stream, so results do not depend on execution order.
     """
     out = []
     for j in range(trials):
@@ -222,10 +223,8 @@ def run_adversary_trials(
         truth = _draw_subset(u, d, gen)
         instance = AdversaryInstance(u, d, skew, subset_rank(u, d, truth))
         dist = build_distribution(instance)
-        marginal = dist.point_marginal()
-        points = gen.choice(u, size=n, p=marginal / marginal.sum())
-        data = Dataset(points, np.ones(n, dtype=np.int8), u)
-        h = _call_learner(learner, data, u, d, instance)
+        table = SamplePieces.drawn(dist, n, gen).take(n)
+        h = learner(table, instance)
         failed = is_failure(h, instance)
         learner_error = float(dist.mass[np.flatnonzero(h.labels == -1), 1].sum())
         out.append(

@@ -31,14 +31,7 @@ _SECTION_KEYS = {
     "experiment": {"kind", "seed", "trials", "output", "delta", "trace_output", "threads"},
     "grid": {"n", "tau"},
     "fixture": None,
-    "constants": {
-        "dev_scale",
-        "rounds_scale",
-        "exit_scale",
-        "noise_scale",
-        "sample_scale",
-        "prob_scale",
-    },
+    "constants": {"dev_scale", "rounds_scale", "exit_scale"},
     "adversary": {"u", "tau", "d", "n", "cap", "skew"},
     "identities": {"chunk_size", "tolerance"},
 }

@@ -407,7 +407,8 @@ class SamplePieces:
 
     take(size) returns the table of the next size samples. The pieces come
     either from an ordered Dataset by exact slicing (of), or are drawn on
-    demand from a distribution with one multinomial draw each (drawn). Given the pieces already taken, the rest of an i.i.d. sample is
+    demand from a distribution with one multinomial draw each (drawn).
+    Given the pieces already taken, the rest of an i.i.d. sample is
     independent of them, so drawn pieces have exactly the law of slicing n
     ordered draws, at O(domain) cost per piece whatever its size. Draws
     happen in the order the pieces are taken.

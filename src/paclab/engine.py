@@ -31,41 +31,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Positive multipliers for the bound and schedule formulas.
-
-    The first three scale computed quantities: the deviation allowance, the
-    round count, and the early-exit threshold. The last three exist purely as
-    validated configuration describing the regime a run claims to be in; no
-    operation consumes them.
-    """
+    """Positive multipliers for the bound and schedule formulas: the
+    deviation allowance, the round count, and the early-exit threshold."""
 
     dev_scale: float = 1.0
     rounds_scale: float = 1.0
     exit_scale: float = 1.0
-    noise_scale: float = 1.0
-    sample_scale: float = 1.0
-    prob_scale: float = 1.0
 
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
             if not value > 0:
                 raise ValueError(f"{field.name} must be strictly positive, got {value!r}")
-
-    @classmethod
-    def analysis_preset(cls) -> "TheoryConstants":
-        """Illustrative large multipliers, with the exit threshold dominating
-        the deviation and round scales by a wide margin. At desk scale these
-        force the loop to exit immediately; they exist to exercise the
-        large-constant regime, not to certify anything."""
-        return cls(
-            dev_scale=32.0,
-            rounds_scale=2.0,
-            exit_scale=4096.0,
-            noise_scale=64.0,
-            sample_scale=64.0,
-            prob_scale=64.0,
-        )
 
 
 DEFAULT_CONSTANTS = TheoryConstants()

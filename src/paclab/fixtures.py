@@ -2,7 +2,7 @@
 
 Each family is a function from a few numeric knobs to a Fixture, and the
 registry maps the names used in config files and on the command line to
-those functions. Knob strings like "two_experts(tau=0.1)" are parsed here.
+those functions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "dsubset_adversary",
     "FAMILIES",
     "available_fixtures",
-    "make_fixture",
 ]
 
 
@@ -107,41 +106,3 @@ FAMILIES = {
 
 def available_fixtures() -> tuple[str, ...]:
     return tuple(sorted(FAMILIES))
-
-
-def _coerce(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse {text!r} as a number") from None
-
-
-def make_fixture(spec: str) -> Fixture:
-    """Build a fixture from a string like "two_experts(tau=0.1)".
-
-    The bare family name means all defaults. Arguments are keyword-only,
-    comma-separated, and numeric.
-    """
-    text = spec.strip()
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ValueError(f"unbalanced parentheses in {spec!r}")
-        name, _, arg_text = text[:-1].partition("(")
-        name = name.strip()
-    else:
-        name, arg_text = text, ""
-    if name not in FAMILIES:
-        raise ValueError(
-            f"unknown fixture {name!r}; available: {', '.join(available_fixtures())}"
-        )
-    kwargs = {}
-    for piece in filter(None, (p.strip() for p in arg_text.split(","))):
-        key, sep, value = piece.partition("=")
-        if not sep:
-            raise ValueError(f"fixture arguments must be key=value, got {piece!r}")
-        kwargs[key.strip()] = _coerce(value.strip())
-    return FAMILIES[name](**kwargs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .core import DiscreteDistribution, Hypothesis, HypothesisClass, RngStream, sample_dataset
+from .core import DiscreteDistribution, Hypothesis, HypothesisClass, RngStream, SamplePieces
 from .experts import CompositeClassifier
 
 __all__ = ["CHECKS", "CheckAggregate", "run_identity_chunk"]
@@ -110,7 +110,7 @@ def _check_average_bound(klass, dist, pair, gen) -> float:
 
 def _check_determinize_split(klass, dist, pair, gen) -> float:
     det_dist, det_klass, concept = measures.determinize(dist, klass)
-    sample = sample_dataset(det_dist, 32, gen)
+    sample = SamplePieces.drawn(det_dist, 32, gen).take(32)
     i = int(gen.integers(len(det_klass)))
     i0 = int(gen.integers(len(det_klass)))
     h = det_klass.hypothesis(i)

@@ -1,9 +1,10 @@
 """Error rates, disagreement rates, and exact conditioning.
 
 Everything here is a closed-form computation over mass tables or an integer
-count over samples (a Dataset, or for empirical_error also a CountTable);
-nothing is randomized. Pair lists are plain sequences of
-(Hypothesis, Hypothesis) tuples sharing one domain.
+count over samples; every empirical measure reads a sample through its
+CountTable and accepts a CountTable or a Dataset. Nothing is randomized.
+Pair lists are plain sequences of (Hypothesis, Hypothesis) tuples sharing
+one domain.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .core import (
     CountTable,
-    Dataset,
     DiscreteDistribution,
     Hypothesis,
     HypothesisClass,
@@ -65,11 +65,11 @@ def row_errors(matrix: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 
-def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, data: Dataset) -> float:
+def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, data) -> float:
     """Fraction of sample points where the two hypotheses differ."""
-    _require_samples(data)
-    differ = h1.labels != h2.labels
-    return int(np.count_nonzero(differ[data.points])) / len(data)
+    table = CountTable.of(data)
+    _require_samples(table)
+    return int(table.point_counts()[h1.labels != h2.labels].sum()) / len(table)
 
 
 def true_disagreement(h1: Hypothesis, h2: Hypothesis, dist: DiscreteDistribution) -> float:
@@ -77,10 +77,11 @@ def true_disagreement(h1: Hypothesis, h2: Hypothesis, dist: DiscreteDistribution
     return float(dist.point_marginal()[h1.labels != h2.labels].sum())
 
 
-def fraction_predicting_positive(h: Hypothesis, data: Dataset) -> float:
+def fraction_predicting_positive(h: Hypothesis, data) -> float:
     """Fraction of sample points that h labels +1."""
-    _require_samples(data)
-    return int(np.count_nonzero(h.labels[data.points] == 1)) / len(data)
+    table = CountTable.of(data)
+    _require_samples(table)
+    return int(table.point_counts()[h.labels == 1].sum()) / len(table)
 
 
 def mass_predicting_positive(h: Hypothesis, dist: DiscreteDistribution) -> float:

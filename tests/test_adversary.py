@@ -1,13 +1,14 @@
 """Tests for the hard-instance generator, its learners, and the bin simulation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from paclab import (
     AdversaryInstance,
-    Dataset,
+    CountTable,
     Hypothesis,
     RngStream,
     balls_low_count_rate,
@@ -24,16 +25,21 @@ from paclab import (
 )
 
 
-def truth_oracle_learner(data, u, d, instance):
+def truth_oracle_learner(table, instance):
     """Cheats by reading the instance; never fails by construction."""
     return instance.truth_hypothesis()
 
 
-def fixed_prefix_learner(data, u, d):
-    """Ignores the data and always distrusts the first d points."""
-    labels = np.ones(u, dtype=np.int8)
-    labels[:d] = -1
+def fixed_prefix_learner(table, instance):
+    """Ignores the sample and always distrusts the first d points."""
+    labels = np.ones(instance.domain_size, dtype=np.int8)
+    labels[: instance.negatives] = -1
     return Hypothesis(labels)
+
+
+def positive_table(counts):
+    """The count table of a sample labeled all +1 with these point counts."""
+    return CountTable(np.stack([np.zeros(len(counts), dtype=np.int64), counts], axis=1))
 
 
 class TestAdversaryInstance:
@@ -148,20 +154,18 @@ class TestChooseParameters:
 
 class TestLeastFrequentLearner:
     def test_picks_rarest_points_with_low_ties(self):
-        counts = [5, 1, 4, 1, 9, 2]
-        points = np.repeat(np.arange(6), counts)
-        data = Dataset(points, np.ones(points.size, dtype=np.int8), 6)
-        h = least_frequent_learner(data, 6, 2)
+        table = positive_table([5, 1, 4, 1, 9, 2])
+        h = least_frequent_learner(table, AdversaryInstance(6, 2, 0.1, 0))
         assert np.flatnonzero(h.labels == -1).tolist() == [1, 3]
 
     def test_all_equal_counts_take_the_prefix(self):
-        data = Dataset(np.arange(4), np.ones(4, dtype=np.int8), 4)
-        h = least_frequent_learner(data, 4, 2)
+        table = positive_table([1, 1, 1, 1])
+        h = least_frequent_learner(table, AdversaryInstance(4, 2, 0.1, 0))
         assert np.flatnonzero(h.labels == -1).tolist() == [0, 1]
 
     def test_unseen_points_count_as_zero(self):
-        data = Dataset(np.array([0, 0, 1]), np.ones(3, dtype=np.int8), 5)
-        h = least_frequent_learner(data, 5, 2)
+        table = positive_table([2, 1, 0, 0, 0])
+        h = least_frequent_learner(table, AdversaryInstance(5, 2, 0.1, 0))
         assert np.flatnonzero(h.labels == -1).tolist() == [2, 3]
 
 
@@ -199,6 +203,21 @@ class TestRunAdversaryTrials:
         a = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
         b = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
         assert a == b
+
+    def test_truth_ranks_are_drawn_before_the_sample(self):
+        """The truth comes first off each trial's stream, so the truth
+        sequence does not depend on how the sample is drawn."""
+        trials = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
+        assert [t.truth_rank for t in trials] == [189, 81, 105, 161, 56, 32, 101, 60]
+
+    def test_a_billion_samples_cost_a_table(self):
+        """A game reads an O(u) table, so n = 10^9 takes no n-sized memory."""
+        start = time.perf_counter()
+        trials = run_adversary_trials(50, 2, 10**9, 1 / 576, 2, RngStream(606, 0))
+        assert time.perf_counter() - start < 1.0
+        assert len(trials) == 2
+        for trial in trials:
+            assert trial.learner_error >= trial.opt_error
 
     def test_prefix_property(self):
         """Trial j only depends on its own child stream, not the total."""

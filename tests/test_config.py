@@ -201,6 +201,21 @@ class TestParseErrors:
             SWEEP_TEXT.replace("dev_scale = 2.0", "dev_scale = 0"), "positive"
         )
 
+    def test_removed_constants_are_unknown_keys(self):
+        for name in ("noise_scale", "sample_scale", "prob_scale"):
+            self.assert_fails(
+                SWEEP_TEXT.replace("dev_scale = 2.0", f"dev_scale = 2.0\n{name} = 64"),
+                f"unknown key '{name}' in \\[constants\\]",
+                line=20,
+            )
+
+    def test_non_numeric_fixture_value(self):
+        self.assert_fails(
+            SWEEP_TEXT.replace("family = two_experts", "family = two_experts\ntau = abc"),
+            "fixture key 'tau' must be numeric",
+            line=17,
+        )
+
     def test_nonpositive_tolerance(self):
         self.assert_fails(
             IDENTITIES_TEXT.replace("tolerance = 1e-8", "tolerance = 0"),

@@ -307,17 +307,8 @@ class TestScheduleAndConstants:
     def test_constants_must_be_positive(self):
         with pytest.raises(ValueError, match="dev_scale"):
             TheoryConstants(dev_scale=0.0)
-        with pytest.raises(ValueError, match="prob_scale"):
-            TheoryConstants(prob_scale=-1.0)
-
-    def test_analysis_preset_values(self):
-        preset = TheoryConstants.analysis_preset()
-        assert preset.dev_scale == 32.0
-        assert preset.rounds_scale == 2.0
-        assert preset.exit_scale == 4096.0
-        assert preset.noise_scale == 64.0
-        assert preset.sample_scale == 64.0
-        assert preset.prob_scale == 64.0
+        with pytest.raises(ValueError, match="exit_scale"):
+            TheoryConstants(exit_scale=-1.0)
 
     def test_defaults_are_all_one(self):
         assert DEFAULT_CONSTANTS == TheoryConstants()

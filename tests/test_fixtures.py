@@ -1,4 +1,4 @@
-"""Tests for the named experiment families and the fixture string parser."""
+"""Tests for the named experiment families and their registry."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from paclab import (
     available_fixtures,
     dsubset_adversary,
-    make_fixture,
     realizable_uniform,
     true_error,
     two_experts,
@@ -95,35 +94,7 @@ class TestDsubsetAdversary:
             dsubset_adversary()
 
 
-class TestMakeFixture:
-    def test_bare_name_uses_defaults(self):
-        fx = make_fixture("realizable_uniform")
-        assert fx.klass.domain_size == 6
-
-    def test_keyword_arguments(self):
-        fx = make_fixture("two_experts(tau=0.1)")
-        assert fx.opt_error == 0.1
-        fx = make_fixture(" dsubset_adversary( u=10 , d=2 , alpha=0.25 ) ")
-        assert fx.klass.domain_size == 10
-
-    def test_integer_and_float_coercion(self):
-        fx = make_fixture("dsubset_adversary(u=10, d=3)")
-        assert fx.vc_dim == 3
-
-    def test_unknown_name_lists_the_registry(self):
-        with pytest.raises(ValueError, match="available"):
-            make_fixture("no_such_family")
-
-    def test_malformed_arguments(self):
-        with pytest.raises(ValueError, match="key=value"):
-            make_fixture("two_experts(0.1)")
-        with pytest.raises(ValueError, match="parse"):
-            make_fixture("two_experts(tau=abc)")
-        with pytest.raises(ValueError, match="parentheses"):
-            make_fixture("two_experts(tau=0.1")
-        with pytest.raises(TypeError):
-            make_fixture("two_experts(bogus=1)")
-
+class TestAvailableFixtures:
     def test_registry_is_sorted(self):
         names = available_fixtures()
         assert names == tuple(sorted(names))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paclab import (
+    CountTable,
     Dataset,
     DiscreteDistribution,
     Hypothesis,
@@ -82,12 +83,15 @@ class TestDisagreement:
         data = Dataset(np.array([0, 1, 2, 3]), np.ones(4, dtype=np.int8), 4)
         a, b = hyp(1, 1, -1, -1), hyp(1, -1, -1, 1)
         assert empirical_disagreement(a, b, data) == 0.5
+        assert empirical_disagreement(a, b, CountTable.of(data)) == 0.5
 
 
 class TestPositivePredictions:
     def test_fraction_and_mass(self):
         data = Dataset(np.array([0, 0, 1]), np.ones(3, dtype=np.int8), 2)
-        assert fraction_predicting_positive(hyp(1, -1), data) == pytest.approx(2 / 3)
+        fraction = fraction_predicting_positive(hyp(1, -1), data)
+        assert fraction == pytest.approx(2 / 3)
+        assert fraction_predicting_positive(hyp(1, -1), CountTable.of(data)) == fraction
         dist = DiscreteDistribution.uniform_deterministic(np.ones(2, dtype=np.int8))
         assert mass_predicting_positive(hyp(1, -1), dist) == pytest.approx(0.5)
 
