@@ -27,6 +27,7 @@ from .core import (
     Hypothesis,
     RngStream,
     SamplePieces,
+    _trusted_hypothesis,
     subset_rank,
 )
 
@@ -75,7 +76,7 @@ class AdversaryInstance:
     def truth_hypothesis(self) -> Hypothesis:
         labels = np.ones(self.domain_size, dtype=np.int8)
         labels[self.truth_negative_points()] = -1
-        return Hypothesis(labels)
+        return _trusted_hypothesis(labels)
 
     @property
     def opt_error(self) -> float:
@@ -140,15 +141,18 @@ def least_frequent_learner(table: CountTable, instance: AdversaryInstance) -> Hy
     order = np.argsort(table.point_counts(), kind="stable")
     labels = np.ones(table.domain_size, dtype=np.int8)
     labels[order[: instance.negatives]] = -1
-    return Hypothesis(labels)
+    return _trusted_hypothesis(labels)
 
 
-def is_failure(h: Hypothesis, instance: AdversaryInstance) -> bool:
+def is_failure(
+    h: Hypothesis, instance: AdversaryInstance, dist: DiscreteDistribution | None = None
+) -> bool:
     """Whether h misses at least half the truth points.
 
     Requires h to label exactly the instance's negative count of points
     negative. Cross-checks the closed form for h's error and the failure
-    premium, raising RuntimeError if either is violated.
+    premium against dist, the instance's distribution (built here when not
+    given), raising RuntimeError if either is violated.
     """
     negatives = np.flatnonzero(h.labels == -1)
     if negatives.size != instance.negatives:
@@ -164,7 +168,8 @@ def is_failure(h: Hypothesis, instance: AdversaryInstance) -> bool:
 
     heavy_minus_light = instance.skew / (u - d)
     expected = instance.opt_error + (d - overlap) * heavy_minus_light
-    dist = build_distribution(instance)
+    if dist is None:
+        dist = build_distribution(instance)
     wrong = float(dist.mass[negatives, 1].sum())
     if abs(wrong - expected) > 1e-12:
         raise RuntimeError(
@@ -225,7 +230,7 @@ def run_adversary_trials(
         dist = build_distribution(instance)
         table = SamplePieces.drawn(dist, n, gen).take(n)
         h = learner(table, instance)
-        failed = is_failure(h, instance)
+        failed = is_failure(h, instance, dist)
         learner_error = float(dist.mass[np.flatnonzero(h.labels == -1), 1].sum())
         out.append(
             AdversaryTrial(j, instance.truth_rank, failed, learner_error, instance.opt_error, skew)

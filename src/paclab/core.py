@@ -7,6 +7,18 @@ an ordered Dataset or a CountTable of its cells; SamplePieces hands a sample
 out as contiguous pieces of tables, sliced from a Dataset or drawn on
 demand. Everything except SamplePieces is immutable after construction, so
 it can be shared freely across threads.
+
+Validation happens once, at the public boundary. The constructors of
+Hypothesis, HypothesisClass, DiscreteDistribution, Dataset and CountTable
+check their input: labels must equal -1 or +1, class rows must be
+distinct, point indices must be integers inside the domain, and masses and
+counts must be nonnegative. Labels and points are checked as given, before
+the cast to int8 or int64, so no cast can wrap or truncate a bad value into
+a valid one. Hypotheses, classes and tables the package derives from
+already validated objects (class members, tabulated composites, split and
+determinized classes, learner outputs, sample pieces) are built by the
+trusted constructors _trusted_hypothesis, _trusted_class and
+_trusted_table, which skip the checks and only make the arrays read-only.
 """
 
 from __future__ import annotations
@@ -69,13 +81,11 @@ class Hypothesis:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.labels, dtype=np.int8, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.labels)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("labels must be a nonempty one-dimensional sequence")
-        if not np.isin(arr, (-1, 1)).all():
-            raise ValueError("labels must be -1 or +1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
+        _require_signs(raw, "labels")
+        _init_hypothesis(self, np.array(raw, dtype=np.int8, copy=True))
 
     @property
     def domain_size(self) -> int:
@@ -91,6 +101,26 @@ class Hypothesis:
         )
 
 
+def _require_signs(raw: np.ndarray, what: str) -> None:
+    """Reject any raw entry that does not equal -1 or +1, before a cast can
+    wrap or truncate it into one."""
+    if not ((raw == 1) | (raw == -1)).all():
+        raise ValueError(f"{what} must be -1 or +1")
+
+
+def _init_hypothesis(h: Hypothesis, labels: np.ndarray) -> None:
+    labels.setflags(write=False)
+    object.__setattr__(h, "labels", labels)
+
+
+def _trusted_hypothesis(labels: np.ndarray) -> Hypothesis:
+    """Wrap a one-dimensional int8 vector of -1/+1 labels the package derived
+    from validated objects, skipping validation; the vector becomes read-only."""
+    h = object.__new__(Hypothesis)
+    _init_hypothesis(h, labels)
+    return h
+
+
 class HypothesisClass:
     """Ordered finite set of distinct hypotheses over a shared domain.
 
@@ -104,18 +134,14 @@ class HypothesisClass:
     __slots__ = ("domain_size", "declared_vc", "_matrix", "_negative_spec")
 
     def __init__(self, matrix, declared_vc: int | None = None):
-        mat = np.array(matrix, dtype=np.int8, copy=True)
-        if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
+        raw = np.asarray(matrix)
+        if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[1] == 0:
             raise ValueError("matrix must be nonempty with shape (hypotheses, points)")
-        if not np.isin(mat, (-1, 1)).all():
-            raise ValueError("matrix entries must be -1 or +1")
+        _require_signs(raw, "matrix entries")
+        mat = np.array(raw, dtype=np.int8, copy=True)
         if np.unique(mat, axis=0).shape[0] != mat.shape[0]:
             raise ValueError("duplicate hypothesis rows are not allowed")
-        mat.setflags(write=False)
-        self._matrix = mat
-        self._negative_spec = None
-        self.domain_size = int(mat.shape[1])
-        self.declared_vc = declared_vc
+        _init_class(self, mat, declared_vc)
 
     @classmethod
     def from_hypotheses(cls, hypotheses, declared_vc: int | None = None) -> "HypothesisClass":
@@ -178,15 +204,31 @@ class HypothesisClass:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for class of size {self.size}")
         if self._matrix is not None:
-            return Hypothesis(self._matrix[index])
+            return _trusted_hypothesis(self._matrix[index])
         u, d = self._negative_spec
         labels = np.ones(u, dtype=np.int8)
         labels[subset_unrank(u, d, index)] = -1
-        return Hypothesis(labels)
+        return _trusted_hypothesis(labels)
 
     def __iter__(self):
         for i in range(self.size):
             yield self.hypothesis(i)
+
+
+def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | None) -> None:
+    matrix.setflags(write=False)
+    klass._matrix = matrix
+    klass._negative_spec = None
+    klass.domain_size = int(matrix.shape[1])
+    klass.declared_vc = declared_vc
+
+
+def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisClass:
+    """Wrap a nonempty int8 matrix of distinct -1/+1 rows the package derived
+    from a validated class, skipping validation; the matrix becomes read-only."""
+    klass = HypothesisClass.__new__(HypothesisClass)
+    _init_class(klass, matrix, declared_vc)
+    return klass
 
 
 def enumerate_class(klass: HypothesisClass, cap: int = DEFAULT_ENUMERATION_CAP) -> HypothesisClass:
@@ -290,14 +332,18 @@ class Dataset:
     domain_size: int
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.int64, copy=True)
-        lab = np.array(self.labels, dtype=np.int8, copy=True)
-        if pts.ndim != 1 or lab.ndim != 1 or pts.size != lab.size:
+        raw_pts = np.asarray(self.points)
+        raw_lab = np.asarray(self.labels)
+        if raw_pts.ndim != 1 or raw_lab.ndim != 1 or raw_pts.size != raw_lab.size:
             raise ValueError("points and labels must be equal-length vectors")
-        if pts.size and (pts.min() < 0 or pts.max() >= self.domain_size):
-            raise ValueError("point indices must lie inside the domain")
-        if not np.isin(lab, (-1, 1)).all():
-            raise ValueError("labels must be -1 or +1")
+        if raw_pts.size:
+            if raw_pts.dtype.kind not in "iu":
+                raise ValueError("point indices must be integers")
+            if raw_pts.min() < 0 or raw_pts.max() >= self.domain_size:
+                raise ValueError("point indices must lie inside the domain")
+        _require_signs(raw_lab, "labels")
+        pts = np.array(raw_pts, dtype=np.int64, copy=True)
+        lab = np.array(raw_lab, dtype=np.int8, copy=True)
         pts.setflags(write=False)
         lab.setflags(write=False)
         object.__setattr__(self, "points", pts)

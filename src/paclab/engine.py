@@ -165,9 +165,10 @@ def pair_disagreements(rows: np.ndarray, weights):
 def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
     """First index pair disagreeing on at least a threshold fraction of samples.
 
-    The scan is lexicographic over the sorted index set, chunk by chunk
-    through pair_disagreements; returns None when no pair qualifies or
-    fewer than two indices were given.
+    The scan is lexicographic over the sorted index set: the first row by
+    one row product, since it often holds the answer, then the rest chunk
+    by chunk through pair_disagreements. Returns None when no pair
+    qualifies or fewer than two indices were given.
     """
     idx = np.unique(np.asarray(index_set, dtype=np.int64))
     if idx.size < 2:
@@ -177,11 +178,15 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
         raise ValueError("empty sample set")
     rows = enumerate_class(klass).matrix[idx]
     n = len(table)
-    for a0, counts, later in pair_disagreements(rows, table.point_counts()):
+    point_counts = table.point_counts()
+    hits = np.flatnonzero(((rows[1:] != rows[0]) @ point_counts) / n >= threshold)
+    if hits.size:
+        return int(idx[0]), int(idx[1 + hits[0]])
+    for a0, counts, later in pair_disagreements(rows[1:], point_counts):
         hits = np.flatnonzero(later & (counts / n >= threshold))
         if hits.size:
             i, j = divmod(int(hits[0]), counts.shape[1])
-            return int(idx[a0 + i]), int(idx[a0 + 1 + j])
+            return int(idx[1 + a0 + i]), int(idx[2 + a0 + j])
     return None
 
 

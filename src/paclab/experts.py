@@ -31,6 +31,7 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     SamplePieces,
+    _trusted_hypothesis,
     enumerate_class,
 )
 from .engine import (
@@ -88,7 +89,7 @@ class CompositeClassifier:
     def tabulate(self) -> Hypothesis:
         """Collapse the routing rule to one label vector over the domain."""
         mask = self.routing_mask()
-        return Hypothesis(
+        return _trusted_hypothesis(
             np.where(mask, self.on_agreement.labels, self.on_disagreement.labels)
         )
 

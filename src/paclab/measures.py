@@ -18,6 +18,8 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     HypothesisClass,
+    _trusted_class,
+    _trusted_hypothesis,
     enumerate_class,
 )
 
@@ -140,6 +142,8 @@ def determinize(dist: DiscreteDistribution, klass: HypothesisClass):
     mass of label +1), so the output distribution has deterministic labels while
     every hypothesis keeps its exact error. Returns the transformed
     distribution, the transformed class, and the concept labeling the twins.
+    Doubling every column keeps distinct rows distinct, so the doubled class
+    needs no validation.
     """
     if klass.domain_size != dist.domain_size:
         raise ValueError("class and distribution must share a domain")
@@ -148,10 +152,10 @@ def determinize(dist: DiscreteDistribution, klass: HypothesisClass):
     mass[0::2, 0] = dist.mass[:, 0]
     mass[1::2, 1] = dist.mass[:, 1]
     doubled = np.repeat(enumerate_class(klass).matrix, 2, axis=1)
-    concept = Hypothesis(np.tile(np.array([-1, 1], dtype=np.int8), u))
+    concept = _trusted_hypothesis(np.tile(np.array([-1, 1], dtype=np.int8), u))
     return (
         DiscreteDistribution(mass),
-        HypothesisClass(doubled, declared_vc=klass.declared_vc),
+        _trusted_class(doubled, klass.declared_vc),
         concept,
     )
 
@@ -170,6 +174,6 @@ def split_class(klass: HypothesisClass, base: Hypothesis, concept: Hypothesis):
     eq_rows = np.where(moves & onto_concept, 1, -1).astype(np.int8)
     neq_rows = np.where(moves & ~onto_concept, 1, -1).astype(np.int8)
     return (
-        [Hypothesis(row) for row in eq_rows],
-        [Hypothesis(row) for row in neq_rows],
+        [_trusted_hypothesis(row) for row in eq_rows],
+        [_trusted_hypothesis(row) for row in neq_rows],
     )

@@ -23,6 +23,7 @@ from paclab import (
     subset_unrank,
     true_error,
 )
+from paclab import adversary
 
 
 def truth_oracle_learner(table, instance):
@@ -197,8 +198,35 @@ class TestIsFailure:
         with pytest.raises(ValueError, match="exactly"):
             is_failure(Hypothesis(labels), instance)
 
+    def test_a_given_distribution_gives_the_same_answer(self):
+        for rank in range(math.comb(6, 2)):
+            instance = AdversaryInstance(6, 2, 0.2, rank)
+            dist = build_distribution(instance)
+            for negatives in range(math.comb(6, 2)):
+                labels = np.ones(6, dtype=np.int8)
+                labels[subset_unrank(6, 2, negatives)] = -1
+                h = Hypothesis(labels)
+                assert is_failure(h, instance, dist) == is_failure(h, instance)
+
+    def test_cross_checks_read_the_given_distribution(self):
+        instance = AdversaryInstance(10, 2, 0.2, 0)
+        other = build_distribution(AdversaryInstance(10, 2, 0.2, 5))
+        with pytest.raises(RuntimeError, match="closed form"):
+            is_failure(instance.truth_hypothesis(), instance, other)
+
 
 class TestRunAdversaryTrials:
+    def test_one_distribution_per_game(self, monkeypatch):
+        built = []
+
+        def counting_build(instance):
+            built.append(instance)
+            return build_distribution(instance)
+
+        monkeypatch.setattr(adversary, "build_distribution", counting_build)
+        run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
+        assert len(built) == 8
+
     def test_deterministic_per_stream(self):
         a = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
         b = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))

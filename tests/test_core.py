@@ -54,6 +54,15 @@ class TestHypothesis:
         with pytest.raises(ValueError):
             Hypothesis(np.ones((2, 2), dtype=np.int8))
 
+    @pytest.mark.parametrize("raw", [np.array([255, 1]), [1.5, -1], [np.nan, 1]])
+    def test_raw_labels_are_checked_before_the_cast(self, raw):
+        """255 would wrap to -1 and 1.5 truncate to 1 in int8."""
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            Hypothesis(raw)
+
+    def test_integral_floats_are_labels(self):
+        assert Hypothesis([1.0, -1.0]).labels.tolist() == [1, -1]
+
     def test_labels_read_only(self):
         h = hyp(1, -1)
         with pytest.raises(ValueError):
@@ -70,6 +79,11 @@ class TestHypothesisClass:
             HypothesisClass(np.array([[1, -1], [1, -1]], dtype=np.int8))
         with pytest.raises(ValueError):
             HypothesisClass(np.array([[1, 0]], dtype=np.int8))
+
+    @pytest.mark.parametrize("raw", [[[255, 1], [1, 1]], [[1.5, 1], [1, -1]]])
+    def test_raw_entries_are_checked_before_the_cast(self, raw):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            HypothesisClass(raw)
 
     def test_indexing_matches_matrix(self):
         klass = HypothesisClass(np.array([[1, -1], [-1, 1], [1, 1]], dtype=np.int8))
@@ -176,6 +190,14 @@ class TestDataset:
             Dataset(np.array([0]), np.array([1, 1], dtype=np.int8), 4)
         with pytest.raises(ValueError):
             Dataset(np.array([0]), np.array([2], dtype=np.int8), 4)
+
+    def test_raw_values_are_checked_before_the_cast(self):
+        """Fractional points would truncate into the domain and 255 would
+        wrap to the label -1."""
+        with pytest.raises(ValueError, match="integers"):
+            Dataset([0.7, 1.2], [1, -1], 2)
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            Dataset([0, 1], np.array([255, 1]), 2)
 
     def test_take_slices_and_masks(self):
         data = Dataset(np.arange(6), np.array([1, -1] * 3, dtype=np.int8), 6)

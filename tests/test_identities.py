@@ -41,6 +41,22 @@ class TestRunIdentityChunk:
         for aggregate in aggregates:
             assert 0 <= aggregate.failures <= aggregate.instances
 
+    def test_pinned_aggregates(self):
+        """Selftest rows are made of these aggregates, so any change to a
+        draw or to a check's arithmetic shows here. Recorded with numpy 2.4
+        on x86-64."""
+        aggregates = run_identity_chunk(seed=2026, chunk=0, instances=50)
+        assert [(a.check, a.chunk, a.instances, a.failures) for a in aggregates] == [
+            (name, 0, 50, 0) for name in CHECKS
+        ]
+        assert [a.max_abs_deviation for a in aggregates] == [
+            3.3306690738754696e-16,
+            2.220446049250313e-16,
+            0.0,
+            1.6653345369377348e-16,
+            0.0,
+        ]
+
     def test_instance_count_validated(self):
         with pytest.raises(ValueError):
             run_identity_chunk(seed=0, chunk=0, instances=0)

@@ -293,6 +293,60 @@ class TestChunkBoundaries:
         assert min(sides) > 0, sides
 
 
+def double_loop_pair(klass, index_set, table, threshold):
+    """The pair search as a plain lexicographic double loop over points."""
+    idx = sorted({int(i) for i in index_set})
+    matrix = enumerate_class(klass).matrix
+    counts = table.point_counts()
+    for p, a in enumerate(idx):
+        for b in idx[p + 1 :]:
+            differing = sum(
+                int(counts[x]) for x in range(klass.domain_size) if matrix[a, x] != matrix[b, x]
+            )
+            if differing / len(table) >= threshold:
+                return a, b
+    return None
+
+
+def test_pair_search_matches_the_double_loop(monkeypatch):
+    """Thresholds set exactly at, just above and just below a pair's
+    fraction put the answer in the first row, in a later row, or nowhere."""
+    gen = RngStream(36, 1).generator()
+    outcomes = {"first_row": 0, "later_row": 0, "none": 0, "tie": 0}
+    for budget in (1, 7, engine._PAIR_CHUNK_CELLS):
+        monkeypatch.setattr(engine, "_PAIR_CHUNK_CELLS", budget)
+        for _ in range(200):
+            u = int(gen.integers(1, 8))
+            rows = np.unique(
+                gen.choice(np.array([-1, 1], dtype=np.int8), size=(int(gen.integers(2, 25)), u)),
+                axis=0,
+            )
+            klass = HypothesisClass(rows)
+            index_set = gen.choice(len(klass), size=int(gen.integers(1, len(klass) + 1)))
+            table = CountTable(gen.integers(0, 5, size=(u, 2)))
+            if len(table) == 0 or np.unique(index_set).size < 2:
+                continue
+            pair = gen.choice(np.unique(index_set), size=2, replace=False)
+            if gen.random() < 0.3:
+                pair[0] = index_set.min()
+            fraction = int((rows[pair[0]] != rows[pair[1]]) @ table.point_counts()) / len(table)
+            threshold = [
+                fraction,
+                np.nextafter(fraction, np.inf),
+                np.nextafter(fraction, -np.inf),
+                float(gen.uniform(0.0, 1.2)),
+            ][int(gen.integers(4))]
+            got = find_disagreeing_pair(klass, index_set, table, threshold)
+            assert got == double_loop_pair(klass, index_set, table, threshold)
+            if got is None:
+                outcomes["none"] += 1
+                continue
+            outcomes["first_row" if got[0] == index_set.min() else "later_row"] += 1
+            got_fraction = int((rows[got[0]] != rows[got[1]]) @ table.point_counts()) / len(table)
+            outcomes["tie"] += int(got_fraction == threshold)
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_diagnostics_on_the_full_class_allocate_no_square_array():
     """Scoring all 4060 rows of dsubset(u=30, d=3) stays far below the
     132 MB of one k x k float64 array (or the 16.5 MB of a boolean one)."""
