@@ -96,11 +96,12 @@ def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTAN
 
 
 def _mistake_counts(klass: HypothesisClass, data) -> tuple[np.ndarray, int]:
-    """Integer mistake totals per hypothesis row, and the sample size."""
+    """Integer mistake totals per hypothesis row, and the sample size,
+    through the class's cached +1 indicator."""
     table = CountTable.of(data)
     if len(table) == 0:
         raise ValueError("empty sample set")
-    return table.mistakes(enumerate_class(klass).matrix), len(table)
+    return table.mistakes(klass), len(table)
 
 
 def erm(klass: HypothesisClass, data) -> tuple[int, float]:

@@ -367,8 +367,8 @@ def diagnose_failure_events(
         cand = record.candidates
         cand_matrix = matrix[cand]
 
-        empirical = kept.mistakes(cand_matrix) / m
-        truth = measures.row_errors(cand_matrix, cond)
+        empirical = kept.mistakes(klass)[cand] / m
+        truth = measures.row_errors(klass, cond, cand)
         deviations = np.abs(empirical - truth)
         allowances = deviation_bound(
             effective_n, trace.d, trace.delta, np.minimum(empirical, truth), consts
@@ -457,9 +457,8 @@ def exact_progress_report(
     q = 0 form of the decomposition (error sum equals one) is checked and
     the report truncates, since later conditionals are undefined.
     """
-    matrix = enumerate_class(klass).matrix
     pair_total = trace.pair_count
-    base_error = float(np.min(measures.row_errors(matrix, dist)))
+    base_error = float(np.min(measures.row_errors(klass, dist)))
     if base_error > 0:
         decay_factor = 1.0 - 1.0 / (32.0 * max(math.log(1.0 / base_error), 1.0))
     else:
@@ -469,7 +468,7 @@ def exact_progress_report(
     records = []
     current = dist
     for step in range(1, pair_total + 2):
-        best = float(np.min(measures.row_errors(matrix, current)))
+        best = float(np.min(measures.row_errors(klass, current)))
         active = min(step, pair_total)
         if active == 0:
             disagreement_mass = 0.0
@@ -517,7 +516,7 @@ def exact_progress_report(
                 f"step {step}: pair errors differ on their agreement region, "
                 f"{next_e1!r} vs {next_e2!r}"
             )
-        next_best = float(np.min(measures.row_errors(matrix, nxt)))
+        next_best = float(np.min(measures.row_errors(klass, nxt)))
         if next_best > 0.5 * (next_e1 + next_e2) + 1e-9:
             raise RuntimeError(
                 f"step {step}: conditional optimum {next_best!r} exceeds the pair average"

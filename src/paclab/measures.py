@@ -57,14 +57,19 @@ def empirical_error(h: Hypothesis, data) -> float:
 
 def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
     """Exact mass of the (point, label) cells that h mislabels."""
-    wrong_column = np.where(h.labels == 1, 0, 1)
-    return float(dist.mass[np.arange(dist.domain_size), wrong_column].sum())
+    mass = dist.mass
+    return float(np.where(h.labels == 1, mass[:, 0], mass[:, 1]).sum())
 
 
-def row_errors(matrix: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
-    """Exact error of each row of a label matrix: one mass product per row."""
-    positive = matrix == 1
-    return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
+def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
+    """Exact error of each row of a label matrix or each member of a
+    HypothesisClass, or of the rows or members at index: one mass product
+    per row. A class is read through its cached +1 indicator."""
+    if isinstance(rows, HypothesisClass):
+        positive = rows.positive_rows(index)
+    else:
+        positive = (rows if index is None else rows[index]) == 1
+    return positive @ dist.mass[:, 0] + (1.0 - positive) @ dist.mass[:, 1]
 
 
 def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, data) -> float:

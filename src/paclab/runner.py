@@ -3,9 +3,11 @@
 Three experiment kinds share one entry point: error sweeps comparing the
 trained routing classifier against plain minimization over a (tau, n) grid,
 failure-rate runs against the hard-instance adversary, and batches of exact
-identity checks. Work is spread over a thread pool, but every work unit
-derives its randomness from (seed, global index), so results are identical
-at any thread count and rows are emitted in canonical order.
+identity checks. Work is spread over a thread pool that gives each worker one
+task, a strided range of the work units, but every work unit derives its
+randomness from (seed, global index), so results are identical at any
+thread count and rows are emitted in canonical order. Trials are short
+numpy work that holds the GIL, so on two cores two threads do not beat one.
 
 Output is RFC-4180 CSV with LF endings: `#` metadata comments (version,
 kind, config hash, seed, one timestamp line that also carries the wall
@@ -15,7 +17,11 @@ between identical runs.
 
 A sweep trial never materializes its sample: the pieces the learner reads
 are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
-costs the same at any n.
+costs the same at any n. Its ERM calls score the class through the
+class's cached +1 indicator (core.HypothesisClass.positive_rows), built
+once per fixture when the run computes its error floors and shared by
+every trial; a class over the indicator's budget casts row chunks per
+call instead.
 """
 
 from __future__ import annotations
@@ -158,10 +164,24 @@ def resolve_threads(config: ExperimentConfig) -> int:
 
 
 def _ordered_map(worker, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
+    """worker(item) for every item of a sequence, results in item order.
+
+    Each of up to `threads` pool workers gets one task, the strided range
+    items[w::workers], so the pool costs one future per worker rather than
+    one per item, and cells of unequal cost spread evenly over the workers.
+    """
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
+
+    def stride(start: int) -> list:
+        return [worker(item) for item in items[start::workers]]
+
+    out = [None] * len(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start, results in enumerate(pool.map(stride, range(workers))):
+            out[start::workers] = results
+    return out
 
 
 def _format_cell(value) -> str:
@@ -201,7 +221,7 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
 def _error_floors(fixture: Fixture) -> tuple[float, float]:
     """The class minimum error (tau_true) and the Bayes error of a fixture."""
     mass = fixture.distribution.mass
-    errors = row_errors(fixture.klass.matrix, fixture.distribution)
+    errors = row_errors(fixture.klass, fixture.distribution)
     return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 

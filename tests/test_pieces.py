@@ -199,11 +199,11 @@ class TestSweepPath:
     def test_rows_are_byte_identical_across_reruns_and_threads(self, tmp_path, monkeypatch):
         config = parse_config_text(sweep_text(tmp_path, "3000, 30000", 4))
         outputs = []
-        for threads in ("1", "1", "2"):
+        for threads in ("1", "1", "2", "3"):
             monkeypatch.setenv("PACLAB_THREADS", threads)
             result = run(config)
             outputs.append((data_bytes(result.output_path), data_bytes(result.trace_path)))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     def test_improper_gain_is_reported_not_raised(self, tmp_path):
         """An improper output may beat the class minimum, down to the Bayes

@@ -1,6 +1,8 @@
 """Tests for the experiment runner, its CSV outputs, and the command line."""
 
 import csv
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from paclab.runner import (
     IDENTITY_COLUMNS,
     RESULT_COLUMNS,
     TRACE_COLUMNS,
+    _ordered_map,
     resolve_threads,
     run,
 )
@@ -84,6 +87,35 @@ class TestResolveThreads:
         monkeypatch.delenv("PACLAB_THREADS", raising=False)
         assert resolve_threads(self._config(threads=3)) == 3
         assert resolve_threads(self._config()) >= 1
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count", [0, 1, 5, 9])
+    def test_item_order_and_one_call_per_item(self, threads, count):
+        items = [f"item{i}" for i in range(count)]
+        calls = Counter()
+        workers = set()
+        lock = threading.Lock()
+
+        def worker(item):
+            with lock:
+                calls[item] += 1
+                workers.add(threading.get_ident())
+            return item.upper()
+
+        assert _ordered_map(worker, items, threads) == [item.upper() for item in items]
+        assert calls == Counter(items)
+        assert len(workers) <= max(1, min(threads, count))
+
+    def test_a_worker_error_propagates(self):
+        def worker(item):
+            if item == 4:
+                raise ValueError("item 4")
+            return item
+
+        with pytest.raises(ValueError, match="item 4"):
+            _ordered_map(worker, list(range(7)), 3)
 
 
 class TestUpperSweep:
