@@ -23,14 +23,17 @@ _trusted_table, which skip the checks and only make the arrays read-only.
 This module is also the one place where a class's -1/+1 labels become a
 kernel operand. A class keeps a float64 0/1 indicator of its +1 labels, built on
 first use and read-only, so every product over the class (mistake counts,
-row errors) skips the comparison and the cast. The indicator has a fixed
-budget of _INDICATOR_BUDGET_CELLS rows x points (64 MiB); a larger class
-keeps none, and its weight products cast row chunks per call instead.
+row errors) skips the comparison and the cast. All live classes share one
+budget of _INDICATOR_BUDGET_CELLS rows x points (64 MiB); a class the rest
+of the budget cannot hold keeps none and is scored through its label matrix,
+and a collected class returns its cells to the budget.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -55,12 +58,16 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10**6
 
 _INDICATOR_BUDGET_CELLS = 2**23
-"""Largest class, in rows x points, whose +1 indicator is kept: 64 MiB of
-float64. Near the enumeration cap a class can hold 10**8 cells, whose
-indicator would take gigabytes."""
+"""Rows x points of +1 indicator that all live classes together may keep:
+64 MiB of float64. Near the enumeration cap one class can hold 10**8 cells,
+whose indicator would take gigabytes."""
+
+_indicator_cells = 0
+"""Cells of the indicators that live classes keep, guarded by _indicator_lock."""
+_indicator_lock = threading.Lock()
 
 _KERNEL_CHUNK_CELLS = 2**17
-"""Rows x points per step of a class's weight products. On a 2-core Xeon
+"""Rows x points per step of the mistake kernel's product. On a 2-core Xeon
 with OpenBLAS 0.3.31, one float64 product over 2-5 million cells ran 3-10
 times slower than the same product taken in steps of this size."""
 
@@ -151,7 +158,14 @@ class HypothesisClass:
     size is binomial(u, d).
     """
 
-    __slots__ = ("domain_size", "declared_vc", "_matrix", "_negative_spec", "_positive")
+    __slots__ = (
+        "domain_size",
+        "declared_vc",
+        "_matrix",
+        "_negative_spec",
+        "_positive",
+        "__weakref__",
+    )
 
     def __init__(self, matrix, declared_vc: int | None = None):
         raw = np.asarray(matrix)
@@ -235,42 +249,16 @@ class HypothesisClass:
         for i in range(self.size):
             yield self.hypothesis(i)
 
-    def _within_budget(self) -> bool:
-        return self.size * self.domain_size <= _INDICATOR_BUDGET_CELLS
+    def positive_rows(self) -> np.ndarray | None:
+        """The kernel operand (matrix == 1) as a read-only float64 0/1
+        indicator, or None when the shared budget cannot hold it.
 
-    def positive_rows(self, index=None) -> np.ndarray:
-        """The kernel operand (matrix == 1) of every member, or of the
-        members at index.
-
-        Within the budget these are rows of the class's float64 0/1
-        indicator, built on the first call and kept read-only (threads that
-        race on the first call build equal copies). Above it each call
-        compares the rows it needs and returns bool, which a product casts.
+        The indicator is built on the first call that fits in the budget and
+        kept; callers that get None read the label matrix instead.
         """
-        if self._positive is None and self._within_budget():
-            indicator = (self.matrix == 1).astype(np.float64)
-            indicator.setflags(write=False)
-            self._positive = indicator
         if self._positive is None:
-            return (self.matrix if index is None else self.matrix[index]) == 1
-        return self._positive if index is None else self._positive[index]
-
-    def positive_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Total weight of the points each member labels +1, that is
-        (matrix == 1) @ weights in float64 for a float64 weight vector.
-
-        The product is taken in row chunks of about _KERNEL_CHUNK_CELLS
-        cells, read from the cached indicator or, above its budget, cast
-        one chunk at a time, so no rows x points float64 array is formed.
-        """
-        cached = self._within_budget()
-        operand = self.positive_rows() if cached else self.matrix
-        step = max(1, _KERNEL_CHUNK_CELLS // self.domain_size)
-        out = np.empty(operand.shape[0])
-        for a0 in range(0, operand.shape[0], step):
-            rows = operand[a0 : a0 + step]
-            np.matmul(rows if cached else rows == 1, weights, out=out[a0 : a0 + step])
-        return out
+            _claim_indicator(self)
+        return self._positive
 
 
 def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | None) -> None:
@@ -280,6 +268,46 @@ def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | N
     klass._negative_spec = None
     klass.domain_size = int(matrix.shape[1])
     klass.declared_vc = declared_vc
+
+
+def _claim_indicator(klass: HypothesisClass) -> None:
+    """Build and keep klass's +1 indicator if the shared budget holds it.
+
+    Under the lock, so threads racing on the first call build one copy. The
+    cells return to the budget when the class is collected.
+    """
+    global _indicator_cells
+    matrix = klass.matrix
+    with _indicator_lock:
+        if klass._positive is not None:
+            return
+        if _indicator_cells + matrix.size > _INDICATOR_BUDGET_CELLS:
+            return
+        _indicator_cells += matrix.size
+        indicator = (matrix == 1).astype(np.float64)
+        indicator.setflags(write=False)
+        klass._positive = indicator
+    weakref.finalize(klass, _release_indicator, matrix.size)
+
+
+def _release_indicator(cells: int) -> None:
+    global _indicator_cells
+    with _indicator_lock:
+        _indicator_cells -= cells
+
+
+def _indicator_product(indicator: np.ndarray, weights: np.ndarray, index=None) -> np.ndarray:
+    """indicator @ weights, or indicator[index] @ weights, in row chunks of
+    about _KERNEL_CHUNK_CELLS cells, so no product spans millions of cells
+    and an index copies one chunk of rows at a time."""
+    rows = indicator.shape[0] if index is None else len(index)
+    step = max(1, _KERNEL_CHUNK_CELLS // indicator.shape[1])
+    out = np.empty(rows)
+    for a0 in range(0, rows, step):
+        part = slice(a0, a0 + step)
+        block = indicator[part] if index is None else indicator[index[part]]
+        np.matmul(block, weights, out=out[part])
+    return out
 
 
 def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisClass:
@@ -475,25 +503,27 @@ class CountTable:
         """Occurrences of each point, labels merged."""
         return self.counts.sum(axis=1)
 
-    def mistakes(self, labels):
+    def mistakes(self, labels, index=None):
         """Mistake count of a label vector, of each row of a label matrix, or
-        of each member of a HypothesisClass.
+        of each member of a HypothesisClass (of the members at index, which
+        applies to a class only).
 
         A labeling pays every +1 sample except where it predicts +1, where
-        it pays the -1 samples instead: one product per row. A class is
-        scored in float64 through its +1 indicator
-        (HypothesisClass.positive_weights). Every partial sum there is an
-        integer of magnitude at most len(self), so below 2**53 samples the
-        counts are exact; larger tables take the integer product.
+        it pays the -1 samples instead: one product per row. A class with a
+        +1 indicator (HypothesisClass.positive_rows) is scored in float64
+        through it. Every partial sum there is an integer of magnitude at
+        most len(self), so below 2**53 samples the counts are exact; larger
+        tables, and classes without an indicator, take the integer product
+        over the label matrix.
         """
         negative, positive = self.counts[:, 0], self.counts[:, 1]
         difference = negative - positive
         if isinstance(labels, HypothesisClass):
-            if self.size < _FLOAT_EXACT:
-                weights = difference.astype(np.float64)
-                paid = labels.positive_weights(weights).astype(np.int64)
-                return paid + int(positive.sum())
-            labels = labels.matrix
+            indicator = labels.positive_rows() if self.size < _FLOAT_EXACT else None
+            if indicator is not None:
+                paid = _indicator_product(indicator, difference.astype(np.float64), index)
+                return paid.astype(np.int64) + int(positive.sum())
+            labels = labels.matrix if index is None else labels.matrix[index]
         return (labels == 1) @ difference + int(positive.sum())
 
     def restrict(self, mask: np.ndarray) -> "CountTable":

@@ -367,7 +367,7 @@ def diagnose_failure_events(
         cand = record.candidates
         cand_matrix = matrix[cand]
 
-        empirical = kept.mistakes(klass)[cand] / m
+        empirical = kept.mistakes(klass, cand) / m
         truth = measures.row_errors(klass, cond, cand)
         deviations = np.abs(empirical - truth)
         allowances = deviation_bound(

@@ -62,14 +62,19 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
 
 
 def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
-    """Exact error of each row of a label matrix or each member of a
-    HypothesisClass, or of the rows or members at index: one mass product
-    per row. A class is read through its cached +1 indicator."""
+    """Exact error of each row of a label matrix, or of each member of a
+    HypothesisClass (of the members at index, which applies to a class
+    only): one mass product per row. A class is read through its +1
+    indicator when it has one; the 0/1 operand is the same either way, and
+    so are the bits."""
     if isinstance(rows, HypothesisClass):
-        positive = rows.positive_rows(index)
-    else:
-        positive = (rows if index is None else rows[index]) == 1
-    return positive @ dist.mass[:, 0] + (1.0 - positive) @ dist.mass[:, 1]
+        indicator = rows.positive_rows()
+        if indicator is not None:
+            positive = indicator if index is None else indicator[index]
+            return positive @ dist.mass[:, 0] + (1.0 - positive) @ dist.mass[:, 1]
+        rows = rows.matrix if index is None else rows.matrix[index]
+    positive = rows == 1
+    return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 
 def empirical_disagreement(h1: Hypothesis, h2: Hypothesis, data) -> float:

@@ -19,9 +19,10 @@ A sweep trial never materializes its sample: the pieces the learner reads
 are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
 costs the same at any n. Its ERM calls score the class through the
 class's cached +1 indicator (core.HypothesisClass.positive_rows), built
-once per fixture when the run computes its error floors and shared by
-every trial; a class over the indicator's budget casts row chunks per
-call instead.
+when the run computes a fixture's error floors and shared by every trial.
+All live classes share the indicators' memory budget, so the fixtures of a
+tau grid that the budget cannot hold are scored through their label
+matrices instead.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """The class mistake kernel against the integer product it replaced.
 
 CountTable.mistakes scores a HypothesisClass in float64 through the class's
-cached +1 indicator, or through row chunks cast per call when the class is
-over the indicator's budget. Both must give the exact integers of
-(matrix == 1) @ (neg - pos) + pos.sum(), on either side of the budget.
+cached +1 indicator, or through the integer product over its label matrix
+when the shared indicator budget cannot hold the class. Both must give the
+exact integers of (matrix == 1) @ (neg - pos) + pos.sum().
 """
+
+import gc
+import threading
 
 import numpy as np
 import pytest
@@ -28,17 +31,24 @@ from paclab import (
 )
 from paclab import core
 
-BUDGETS = ("cached", "chunked")
+BUDGETS = ("cached", "chunked", "matrix")
 
 
 @pytest.fixture(params=BUDGETS)
 def budget(request, monkeypatch):
-    """Run a test with the indicator cached, then with every class over the
-    budget and cast in small chunks."""
+    """Run a test with the indicator cached, cached and multiplied in chunks
+    of a few cells, and with the budget full so every class reads its
+    label matrix."""
     if request.param == "chunked":
-        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", 0)
         monkeypatch.setattr(core, "_KERNEL_CHUNK_CELLS", 7)
+    if request.param == "matrix":
+        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", 0)
     return request.param
+
+
+def room_for(monkeypatch, cells):
+    """Leave exactly `cells` free in the shared indicator budget."""
+    monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", core._indicator_cells + cells)
 
 
 def reference_mistakes(matrix, counts):
@@ -167,14 +177,12 @@ class TestRowErrors:
             assert np.array_equal(
                 measures.row_errors(klass, dist, index), measures.row_errors(matrix[index], dist)
             )
-            assert np.array_equal(
-                measures.row_errors(matrix, dist, index), measures.row_errors(matrix[index], dist)
-            )
 
 
 class TestIndicatorCache:
-    def test_built_once_read_only_and_kept(self):
+    def test_built_once_read_only_and_kept(self, monkeypatch):
         klass = HypothesisClass.with_exact_negatives(8, 2)
+        room_for(monkeypatch, len(klass) * 8)
         assert klass._positive is None
         table = CountTable(np.ones((8, 2), dtype=np.int64))
         erm(klass, table)
@@ -191,17 +199,46 @@ class TestIndicatorCache:
 
     def test_absent_above_the_budget(self, monkeypatch):
         klass = HypothesisClass.with_exact_negatives(8, 2)
-        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", len(klass) * 8 - 1)
+        room_for(monkeypatch, len(klass) * 8 - 1)
         table = CountTable(np.arange(16, dtype=np.int64).reshape(8, 2))
         index, _ = erm(klass, table)
         measures.row_errors(klass, DiscreteDistribution(np.full((8, 2), 1 / 16)))
         assert klass._positive is None
-        assert klass.positive_rows().dtype == bool
+        assert klass.positive_rows() is None
         expected = reference_mistakes(klass.matrix, table.counts)
         assert index == int(np.argmin(expected))
 
-    def test_the_budget_is_a_cell_count(self, monkeypatch):
-        klass = HypothesisClass.with_exact_negatives(8, 2)
-        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", len(klass) * 8)
-        klass.positive_rows()
-        assert klass._positive is not None
+    def test_the_budget_is_shared_and_returned_on_collection(self, monkeypatch):
+        first = HypothesisClass.with_exact_negatives(8, 2)
+        second = HypothesisClass.with_exact_negatives(8, 2)
+        cells = len(first) * 8
+        room_for(monkeypatch, cells)
+        held = core._indicator_cells
+        assert first.positive_rows() is not None
+        assert core._indicator_cells == held + cells
+        assert second.positive_rows() is None
+        del first
+        gc.collect()
+        assert core._indicator_cells == held
+        assert second.positive_rows() is not None
+        assert core._indicator_cells == held + cells
+
+    def test_racing_threads_build_one_copy(self, monkeypatch):
+        klass = HypothesisClass.with_exact_negatives(12, 3)
+        klass.matrix
+        room_for(monkeypatch, 2 * len(klass) * 12)
+        held = core._indicator_cells
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def claim():
+            barrier.wait()
+            seen.append(klass.positive_rows())
+
+        threads = [threading.Thread(target=claim) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(indicator is seen[0] for indicator in seen)
+        assert core._indicator_cells == held + len(klass) * 12
