@@ -26,7 +26,10 @@ first use and read-only, so every product over the class (mistake counts,
 row errors) skips the comparison and the cast. All live classes share one
 budget of _INDICATOR_BUDGET_CELLS rows x points (64 MiB); a class the rest
 of the budget cannot hold keeps none and is scored through its label matrix,
-and a collected class returns its cells to the budget.
+and a collected class returns its cells to the budget. The mistake kernel
+scores one table or a stack of them with one product per row chunk:
+CountTable.mistakes returns one table's counts, _least_mistakes each
+table's lowest-index minimum.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -70,6 +73,10 @@ _KERNEL_CHUNK_CELLS = 2**17
 """Rows x points per step of the mistake kernel's product. On a 2-core Xeon
 with OpenBLAS 0.3.31, one float64 product over 2-5 million cells ran 3-10
 times slower than the same product taken in steps of this size."""
+
+_KERNEL_OUTPUT_CELLS = 2**13
+"""Rows x tables per step of the mistake kernel's product, so scoring a
+stack of tables holds one chunk of its output, never rows x tables."""
 
 _FLOAT_EXACT = 2**53
 """Integers below this magnitude are exact in float64."""
@@ -228,9 +235,11 @@ class HypothesisClass:
                 f"class of size {size} exceeds the enumeration cap of {cap}"
             )
         u, d = self._negative_spec
+        negatives = np.fromiter(
+            chain.from_iterable(combinations(range(u), d)), dtype=np.intp, count=size * d
+        )
         mat = np.ones((size, u), dtype=np.int8)
-        for row, negatives in enumerate(combinations(range(u), d)):
-            mat[row, negatives] = -1
+        mat[np.repeat(np.arange(size), d), negatives] = -1
         mat.setflags(write=False)
         self._matrix = mat
 
@@ -296,18 +305,54 @@ def _release_indicator(cells: int) -> None:
         _indicator_cells -= cells
 
 
-def _indicator_product(indicator: np.ndarray, weights: np.ndarray, index=None) -> np.ndarray:
-    """indicator @ weights, or indicator[index] @ weights, in row chunks of
-    about _KERNEL_CHUNK_CELLS cells, so no product spans millions of cells
-    and an index copies one chunk of rows at a time."""
-    rows = indicator.shape[0] if index is None else len(index)
-    step = max(1, _KERNEL_CHUNK_CELLS // indicator.shape[1])
-    out = np.empty(rows)
+def _mistake_products(klass: HypothesisClass, differences: np.ndarray, exact: bool, index=None):
+    """Yield (a0, paid) for consecutive row chunks [a0, a1) of the class's
+    members (of the members at index): paid = P[a0:a1] @ differences, with
+    P = (matrix == 1) and differences the (u,) vector or (u, T) stack of
+    c₋ − c₊ of T tables.
+
+    The product reads the class's +1 indicator in float64 when exact is
+    true (every table holds fewer than 2**53 samples, so each partial sum is
+    an exact integer) and the class has one; otherwise it is the integer
+    product over the label matrix. A chunk spans about _KERNEL_CHUNK_CELLS
+    operand cells and _KERNEL_OUTPUT_CELLS output cells.
+    """
+    indicator = klass.positive_rows() if exact else None
+    if indicator is None:
+        operand, weights = klass.matrix, differences
+    else:
+        operand, weights = indicator, np.asarray(differences, dtype=np.float64, order="C")
+    rows = operand.shape[0] if index is None else len(index)
+    width = 1 if weights.ndim == 1 else weights.shape[1]
+    step = max(1, min(_KERNEL_CHUNK_CELLS // operand.shape[1], _KERNEL_OUTPUT_CELLS // width))
     for a0 in range(0, rows, step):
         part = slice(a0, a0 + step)
-        block = indicator[part] if index is None else indicator[index[part]]
-        np.matmul(block, weights, out=out[part])
-    return out
+        block = operand[part] if index is None else operand[index[part]]
+        if indicator is None:
+            block = block == 1
+        yield a0, block @ weights
+
+
+def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndarray]:
+    """For each table, the lowest member index with the fewest mistakes, and
+    that count: one product of the class with the stacked tables per row
+    chunk, reduced to a running per-table minimum as the chunks arrive."""
+    counts = np.stack([table.counts for table in tables])
+    positive = counts[:, :, 1].sum(axis=1)
+    differences = (counts[:, :, 0] - counts[:, :, 1]).T
+    exact = max(table.size for table in tables) < _FLOAT_EXACT
+    columns = np.arange(len(tables))
+    best = least = None
+    for a0, paid in _mistake_products(klass, differences, exact):
+        local = paid.argmin(axis=0)
+        value = paid[local, columns]
+        if best is None:
+            best, least = local, value
+        else:
+            better = value < least
+            best = np.where(better, a0 + local, best)
+            least = np.where(better, value, least)
+    return best, least.astype(np.int64) + positive
 
 
 def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisClass:
@@ -514,16 +559,16 @@ class CountTable:
         through it. Every partial sum there is an integer of magnitude at
         most len(self), so below 2**53 samples the counts are exact; larger
         tables, and classes without an indicator, take the integer product
-        over the label matrix.
+        over the label matrix. Either product runs in row chunks
+        (_mistake_products).
         """
         negative, positive = self.counts[:, 0], self.counts[:, 1]
         difference = negative - positive
         if isinstance(labels, HypothesisClass):
-            indicator = labels.positive_rows() if self.size < _FLOAT_EXACT else None
-            if indicator is not None:
-                paid = _indicator_product(indicator, difference.astype(np.float64), index)
-                return paid.astype(np.int64) + int(positive.sum())
-            labels = labels.matrix if index is None else labels.matrix[index]
+            paid = np.empty(labels.size if index is None else len(index), dtype=np.int64)
+            for a0, block in _mistake_products(labels, difference, self.size < _FLOAT_EXACT, index):
+                paid[a0 : a0 + len(block)] = block
+            return paid + int(positive.sum())
         return (labels == 1) @ difference + int(positive.sum())
 
     def restrict(self, mask: np.ndarray) -> "CountTable":

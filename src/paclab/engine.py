@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import CountTable, HypothesisClass, enumerate_class
+from .core import CountTable, HypothesisClass, _least_mistakes, enumerate_class
 
 __all__ = [
     "TheoryConstants",
@@ -21,6 +21,7 @@ __all__ = [
     "Schedule",
     "deviation_bound",
     "erm",
+    "erm_many",
     "near_optimal_set",
     "pair_disagreements",
     "find_disagreeing_pair",
@@ -95,31 +96,33 @@ def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTAN
     return float(out) if out.ndim == 0 else out
 
 
-def _mistake_counts(klass: HypothesisClass, data) -> tuple[np.ndarray, int]:
-    """Integer mistake totals per hypothesis row, and the sample size,
-    through the class's cached +1 indicator."""
-    table = CountTable.of(data)
-    if len(table) == 0:
-        raise ValueError("empty sample set")
-    return table.mistakes(klass), len(table)
-
-
 def erm(klass: HypothesisClass, data) -> tuple[int, float]:
     """Index and empirical error of the best hypothesis, lowest index on ties.
 
-    data is a CountTable or a Dataset, as are the samples of the two
-    functions below.
+    data is a CountTable or a Dataset, as are the samples of
+    near_optimal_set and find_disagreeing_pair.
     """
-    mistakes, n = _mistake_counts(klass, data)
-    best = int(np.argmin(mistakes))
-    return best, int(mistakes[best]) / n
+    return erm_many(klass, [CountTable.of(data)])[0]
+
+
+def erm_many(klass: HypothesisClass, tables) -> list[tuple[int, float]]:
+    """erm on each of a sequence of count tables, with one product of the
+    class and the stacked tables per row chunk."""
+    if not tables:
+        return []
+    if any(len(table) == 0 for table in tables):
+        raise ValueError("empty sample set")
+    best, least = _least_mistakes(klass, tables)
+    return [(int(b), int(m) / len(t)) for b, m, t in zip(best, least, tables)]
 
 
 def near_optimal_set(klass: HypothesisClass, data, gamma: float, allowance: float) -> np.ndarray:
     """Sorted indices of hypotheses with empirical error at most gamma plus
     the allowance. Always contains the minimizer when gamma is attained."""
-    mistakes, n = _mistake_counts(klass, data)
-    return np.flatnonzero(mistakes / n <= gamma + allowance)
+    table = CountTable.of(data)
+    if len(table) == 0:
+        raise ValueError("empty sample set")
+    return np.flatnonzero(table.mistakes(klass) / len(table) <= gamma + allowance)
 
 
 _PAIR_CHUNK_CELLS = 8_192

@@ -13,6 +13,14 @@ tables, either sliced from an ordered Dataset or drawn on demand at
 O(domain) cost per piece whatever the sample size. Nothing here draws
 randomness of its own; drawn pieces are drawn in the order they are taken.
 
+Training runs on a batch of samples (train_many); train and core_train are
+its batch of one. Every minimization step of the batch (the estimate
+third, each filtering round over the samples still in the loop, the
+nonempty holdout sides and the fit third) scores every sample's table with
+one product of the class against the stacked tables (engine.erm_many). A
+round that neither exits nor empties its block runs the near-optimal
+filter and the pair search one sample at a time.
+
 Every iteration keeps its filtered block's table on the trace, so the
 diagnostic functions can recompute conditional quantities exactly afterwards.
 """
@@ -39,7 +47,7 @@ from .engine import (
     Schedule,
     TheoryConstants,
     deviation_bound,
-    erm,
+    erm_many,
     find_disagreeing_pair,
     make_schedule,
     near_optimal_set,
@@ -58,6 +66,7 @@ __all__ = [
     "TrainResult",
     "core_train",
     "train",
+    "train_many",
     "IterationEvents",
     "FailureEventReport",
     "diagnose_failure_events",
@@ -140,13 +149,6 @@ class CoreTrace:
         return len(self.selected)
 
 
-def _erm_or_default(klass: HypothesisClass, side: CountTable) -> tuple[Hypothesis, bool]:
-    if len(side) == 0:
-        return klass.hypothesis(0), True
-    index, _ = erm(klass, side)
-    return klass.hypothesis(index), False
-
-
 def core_train(
     data,
     klass: HypothesisClass,
@@ -166,70 +168,115 @@ def core_train(
 
     Returns the classifier and a trace recording every round.
     """
-    pieces = SamplePieces.of(data)
-    m = len(pieces)
-    if m < 2:
-        raise ValueError("need at least 2 samples to split in half")
-    half = m // 2
-    schedule = make_schedule(err_estimate, half, d, delta, consts)
-    rounds = schedule.rounds
-    base_block = half // rounds
-    blocks = [pieces.take(base_block) for _ in range(rounds - 1)]
-    blocks.append(pieces.take(half - (rounds - 1) * base_block))
-    holdout_part = pieces.take(m - half)
+    return _core_train_many(
+        [SamplePieces.of(data)], klass, d, delta, [err_estimate], consts
+    )[0]
 
-    records: list[IterationRecord] = []
-    selected: list[tuple[Hypothesis, Hypothesis]] = []
-    selected_indices: list[tuple[int, int]] = []
-    reason = REASON_COMPLETED
-    for step, block in enumerate(blocks, start=1):
-        passing = measures.agreement_points(selected, klass.domain_size)
-        kept = block.restrict(passing)
-        if len(kept) == 0:
-            records.append(IterationRecord(step, len(block), kept, None, None, None))
-            reason = REASON_EMPTY_BLOCK
-            break
-        _, min_error = erm(klass, kept)
-        if min_error <= schedule.exit_threshold:
-            records.append(IterationRecord(step, len(block), kept, min_error, None, None))
-            reason = REASON_EARLY_EXIT
-            break
-        allowance = deviation_bound(half / rounds, d, delta, min_error, consts)
+
+class _FilterRun:
+    """One sample's filtering loop while its batch runs: the pieces it was
+    dealt and what its rounds have recorded so far. reason stays None while
+    the loop goes on."""
+
+    __slots__ = ("err_estimate", "half", "schedule", "blocks", "holdout", "records",
+                 "selected", "selected_indices", "reason")
+
+    def __init__(self, pieces: SamplePieces, d, delta, err_estimate, consts):
+        m = len(pieces)
+        if m < 2:
+            raise ValueError("need at least 2 samples to split in half")
+        self.err_estimate = err_estimate
+        self.half = m // 2
+        self.schedule = make_schedule(err_estimate, self.half, d, delta, consts)
+        rounds = self.schedule.rounds
+        base_block = self.half // rounds
+        self.blocks = [pieces.take(base_block) for _ in range(rounds - 1)]
+        self.blocks.append(pieces.take(self.half - (rounds - 1) * base_block))
+        self.holdout = pieces.take(m - self.half)
+        self.records: list[IterationRecord] = []
+        self.selected: list[tuple[Hypothesis, Hypothesis]] = []
+        self.selected_indices: list[tuple[int, int]] = []
+        self.reason = None
+
+    def finish_round(self, klass, step, kept, min_error, d, delta, consts) -> None:
+        """Exit, or record the round's near-optimal set and pair search."""
+        block_size = len(self.blocks[step - 1])
+        if min_error <= self.schedule.exit_threshold:
+            self.records.append(IterationRecord(step, block_size, kept, min_error, None, None))
+            self.reason = REASON_EARLY_EXIT
+            return
+        allowance = deviation_bound(self.half / self.schedule.rounds, d, delta, min_error, consts)
         candidates = near_optimal_set(klass, kept, min_error, allowance)
         threshold = min_error / max(math.log(1.0 / min_error), 1.0)
         pair = find_disagreeing_pair(klass, candidates, kept, threshold)
-        records.append(IterationRecord(step, len(block), kept, min_error, candidates, pair))
+        self.records.append(IterationRecord(step, block_size, kept, min_error, candidates, pair))
         if pair is None:
-            reason = REASON_NO_PAIR
-            break
-        selected.append((klass.hypothesis(pair[0]), klass.hypothesis(pair[1])))
-        selected_indices.append(pair)
+            self.reason = REASON_NO_PAIR
+            return
+        self.selected.append((klass.hypothesis(pair[0]), klass.hypothesis(pair[1])))
+        self.selected_indices.append(pair)
 
-    final_mask = measures.agreement_points(selected, klass.domain_size)
-    agree_side = holdout_part.restrict(final_mask)
-    disagree_side = holdout_part.restrict(~final_mask)
-    h_eq, eq_defaulted = _erm_or_default(klass, agree_side)
-    h_neq, neq_defaulted = _erm_or_default(klass, disagree_side)
 
-    classifier = CompositeClassifier(tuple(selected), h_eq, h_neq)
-    trace = CoreTrace(
-        records=tuple(records),
-        selected=tuple(selected),
-        selected_indices=tuple(selected_indices),
-        break_reason=reason,
-        schedule=schedule,
-        err_estimate=err_estimate,
-        filter_half=half,
-        holdout_half=len(holdout_part),
-        agree_side_size=len(agree_side),
-        disagree_side_size=len(disagree_side),
-        agree_defaulted=eq_defaulted,
-        disagree_defaulted=neq_defaulted,
-        d=d,
-        delta=delta,
-        consts=consts,
-    )
-    return classifier, trace
+def _core_train_many(parts, klass, d, delta, estimates, consts):
+    """core_train on each SamplePieces of parts, with its own estimate.
+
+    Each step of the loop filters every sample still running and scores the
+    nonempty filtered blocks with one erm_many call; the holdout fits score
+    every nonempty side of every sample with one more.
+    """
+    runs = [_FilterRun(pieces, d, delta, e, consts) for pieces, e in zip(parts, estimates)]
+    active = runs
+    step = 1
+    while active:
+        scored = []
+        for run in active:
+            block = run.blocks[step - 1]
+            kept = block.restrict(measures.agreement_points(run.selected, klass.domain_size))
+            if len(kept) == 0:
+                run.records.append(IterationRecord(step, len(block), kept, None, None, None))
+                run.reason = REASON_EMPTY_BLOCK
+            else:
+                scored.append((run, kept))
+        minima = erm_many(klass, [kept for _, kept in scored])
+        for (run, kept), (_, min_error) in zip(scored, minima):
+            run.finish_round(klass, step, kept, min_error, d, delta, consts)
+        step += 1
+        active = [run for run in active if run.reason is None and step <= len(run.blocks)]
+
+    sides = []
+    for run in runs:
+        final_mask = measures.agreement_points(run.selected, klass.domain_size)
+        sides.append((run.holdout.restrict(final_mask), run.holdout.restrict(~final_mask)))
+    fitted = iter(erm_many(klass, [side for pair in sides for side in pair if len(side)]))
+
+    def fit_or_default(side):
+        if len(side) == 0:
+            return klass.hypothesis(0), True
+        return klass.hypothesis(next(fitted)[0]), False
+
+    out = []
+    for run, (agree_side, disagree_side) in zip(runs, sides):
+        h_eq, eq_defaulted = fit_or_default(agree_side)
+        h_neq, neq_defaulted = fit_or_default(disagree_side)
+        trace = CoreTrace(
+            records=tuple(run.records),
+            selected=tuple(run.selected),
+            selected_indices=tuple(run.selected_indices),
+            break_reason=run.reason or REASON_COMPLETED,
+            schedule=run.schedule,
+            err_estimate=run.err_estimate,
+            filter_half=run.half,
+            holdout_half=len(run.holdout),
+            agree_side_size=len(agree_side),
+            disagree_side_size=len(disagree_side),
+            agree_defaulted=eq_defaulted,
+            disagree_defaulted=neq_defaulted,
+            d=d,
+            delta=delta,
+            consts=consts,
+        )
+        out.append((CompositeClassifier(tuple(run.selected), h_eq, h_neq), trace))
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,40 +316,73 @@ def train(
     ties going to the routing classifier. Pieces are taken in sample order:
     the estimate third, core_train's blocks and holdout, then the rest.
     """
-    pieces = SamplePieces.of(data)
-    n = len(pieces)
-    if n < 3:
+    return train_many([data], klass, d, delta, consts)[0]
+
+
+def train_many(
+    samples,
+    klass: HypothesisClass,
+    d: int,
+    delta: float,
+    consts: TheoryConstants = DEFAULT_CONSTANTS,
+) -> list[TrainResult]:
+    """train on each sample of a sequence, as one batch.
+
+    The result equals [train(data) for data in samples] field by field, and
+    each sample's pieces are taken in the same order as train takes them.
+    A batch of one runs its filtering step through core_train, so a call
+    of train is also a call of core_train, as tools that time core_train
+    expect.
+    """
+    pieces = [SamplePieces.of(data) for data in samples]
+    if any(len(p) < 3 for p in pieces):
         raise ValueError("need at least 3 samples to split in thirds")
-    third = n // 3
-    part_estimate = pieces.take(third)
+    thirds = [len(p) // 3 for p in pieces]
+    estimate_parts = [p.take(third) for p, third in zip(pieces, thirds)]
+    estimates = [
+        _clamped_estimate(error, third)
+        for (_, error), third in zip(erm_many(klass, estimate_parts), thirds)
+    ]
 
-    _, estimate = erm(klass, part_estimate)
-    if estimate == 0.0:
-        estimate = 1.0 / (2 * len(part_estimate))
-    elif estimate == 1.0:
-        estimate = 1.0 - 1.0 / (2 * len(part_estimate))
+    fits = [p.split(third) for p, third in zip(pieces, thirds)]
+    if len(fits) == 1:
+        cores = [core_train(fits[0], klass, d, delta, estimates[0], consts)]
+    else:
+        cores = _core_train_many(fits, klass, d, delta, estimates, consts)
+    fitted = erm_many(klass, [fit.taken() for fit in fits])
 
-    part_fit = pieces.split(third)
-    core_classifier, trace = core_train(part_fit, klass, d, delta, estimate, consts)
-    erm_index, _ = erm(klass, part_fit.taken())
-    erm_hypothesis = klass.hypothesis(erm_index)
-    part_validate = pieces.take(len(pieces))
+    results = []
+    for p, estimate, (core_classifier, trace), (erm_index, _) in zip(
+        pieces, estimates, cores, fitted
+    ):
+        part_validate = p.take(len(p))
+        erm_hypothesis = klass.hypothesis(erm_index)
+        validation_core = measures.empirical_error(core_classifier.tabulate(), part_validate)
+        validation_erm = measures.empirical_error(erm_hypothesis, part_validate)
+        chose_core = validation_core <= validation_erm
+        results.append(
+            TrainResult(
+                classifier=core_classifier if chose_core else erm_hypothesis,
+                trace=trace,
+                err_estimate=estimate,
+                core_classifier=core_classifier,
+                erm_index=erm_index,
+                erm_hypothesis=erm_hypothesis,
+                chose_core=chose_core,
+                validation_core=validation_core,
+                validation_erm=validation_erm,
+            )
+        )
+    return results
 
-    validation_core = measures.empirical_error(core_classifier.tabulate(), part_validate)
-    validation_erm = measures.empirical_error(erm_hypothesis, part_validate)
-    chose_core = validation_core <= validation_erm
-    chosen = core_classifier if chose_core else erm_hypothesis
-    return TrainResult(
-        classifier=chosen,
-        trace=trace,
-        err_estimate=estimate,
-        core_classifier=core_classifier,
-        erm_index=erm_index,
-        erm_hypothesis=erm_hypothesis,
-        chose_core=chose_core,
-        validation_core=validation_core,
-        validation_erm=validation_erm,
-    )
+
+def _clamped_estimate(error: float, size: int) -> float:
+    """An estimate of exactly 0 or 1 moved half a sample's worth inside."""
+    if error == 0.0:
+        return 1.0 / (2 * size)
+    if error == 1.0:
+        return 1.0 - 1.0 / (2 * size)
+    return error
 
 
 @dataclass(frozen=True)

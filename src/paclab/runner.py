@@ -4,10 +4,13 @@ Three experiment kinds share one entry point: error sweeps comparing the
 trained routing classifier against plain minimization over a (tau, n) grid,
 failure-rate runs against the hard-instance adversary, and batches of exact
 identity checks. Work is spread over a thread pool that gives each worker one
-task, a strided range of the work units, but every work unit derives its
+task, a strided range of the work units, but every trial derives its
 randomness from (seed, global index), so results are identical at any
-thread count and rows are emitted in canonical order. Trials are short
-numpy work that holds the GIL, so on two cores two threads do not beat one.
+thread count and rows are emitted in canonical order. A sweep's work unit
+is a contiguous range of at most _SWEEP_BATCH trials of one cell, trained
+as one batch (experts.train_many); an adversary unit is a chunk of games,
+an identity unit a chunk of instances. Most of a unit is numpy work that
+holds the GIL, so on two cores two threads gain little over one.
 
 Output is RFC-4180 CSV with LF endings: `#` metadata comments (version,
 kind, config hash, seed, one timestamp line that also carries the wall
@@ -17,9 +20,10 @@ between identical runs.
 
 A sweep trial never materializes its sample: the pieces the learner reads
 are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
-costs the same at any n. Its ERM calls score the class through the
-class's cached +1 indicator (core.HypothesisClass.positive_rows), built
-when the run computes a fixture's error floors and shared by every trial.
+costs the same at any n. Each minimization step of a batch scores all its
+trials with one product over the class's cached +1 indicator
+(core.HypothesisClass.positive_rows), built when the run computes a
+fixture's error floors and shared by every batch.
 All live classes share the indicators' memory budget, so the fixtures of a
 tau grid that the budget cannot hold are scored through their label
 matrices instead.
@@ -45,7 +49,7 @@ from .adversary import (
 )
 from .config import ConfigError, ExperimentConfig, fnv1a64
 from .core import RngStream, SamplePieces, enumerate_class
-from .experts import train
+from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
 from .measures import row_errors, true_error
@@ -95,12 +99,17 @@ IDENTITY_COLUMNS = ("check", "chunk", "instances", "max_abs_deviation", "failure
 
 _ADVERSARY_CHUNK = 100
 
+_SWEEP_BATCH = 16
+"""Most trials of one cell that a sweep trains as one batch, so a batch's
+tables and traces do not grow with the trial count. A batch holds about
+20 KB per trial of u = 50 while it trains; on sweep_accept's 50-trial cells
+(2 cores) batches of 16 and of 64 ran within noise of each other, and 64
+held 1.3 MB more at peak."""
+
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One algorithm's outcome on one trial. runtime_ms stays out of the CSV
-    so identical runs stay byte-identical; it is None for the ERM reference,
-    which is a by-product of training and is not timed on its own.
+    """One algorithm's outcome on one trial.
 
     excess_error is measured against the class minimum tau_true, so an
     improper output that beats every hypothesis in the class reports a
@@ -116,7 +125,6 @@ class ResultRow:
     excess_error: float
     break_reason: str
     r: int | None
-    runtime_ms: float | None
 
     def csv_values(self) -> tuple:
         return (
@@ -185,12 +193,6 @@ def _ordered_map(worker, items, threads: int) -> list:
     return out
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, config: ExperimentConfig, columns, rows, runtime_ms: float):
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -202,8 +204,7 @@ def _write_csv(path: str, config: ExperimentConfig, columns, rows, runtime_ms: f
         handle.write(f"# numpy: {np.__version__}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(value) for value in row])
+        writer.writerows(rows)
 
 
 def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
@@ -226,65 +227,82 @@ def _error_floors(fixture: Fixture) -> tuple[float, float]:
     return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 
-def _sweep_trial(
+@dataclass(frozen=True)
+class _TrialOutcome:
+    """What a sweep keeps of one trial: its CSV rows and what the summary
+    counts."""
+
+    rows: tuple
+    trace_rows: tuple
+    break_reason: str
+    pairs: int
+    chose_core: bool
+
+
+def _sweep_batch(
     config: ExperimentConfig,
     cell: int,
     fixture: Fixture,
     floors: tuple[float, float],
     n: int,
-    trial: int,
-):
-    trial_id = cell * config.trials + trial
-    pieces = SamplePieces.drawn(fixture.distribution, n, RngStream(config.seed, 1 + trial_id))
+    trials: range,
+) -> list[_TrialOutcome]:
+    """Train a contiguous range of one cell's trials as one batch. Trial t
+    draws its sample from RngStream(seed, 1 + trial_id), as it would alone."""
+    trial_ids = [cell * config.trials + trial for trial in trials]
+    samples = [
+        SamplePieces.drawn(fixture.distribution, n, RngStream(config.seed, 1 + trial_id))
+        for trial_id in trial_ids
+    ]
     d = fixture.vc_dim
     tau_true, bayes_error = floors
+    results = train_many(samples, fixture.klass, d, config.delta, config.constants)
 
-    started = time.perf_counter()
-    result = train(pieces, fixture.klass, d, config.delta, config.constants)
-    train_ms = (time.perf_counter() - started) * 1000.0
-
-    trained_error = true_error(result.output_hypothesis(), fixture.distribution)
-    erm_error = true_error(result.erm_hypothesis, fixture.distribution)
-    rows = []
-    for algorithm, error, reason, r, ms in (
-        (
-            "disagreeing_experts",
-            trained_error,
-            result.trace.break_reason,
-            result.trace.pair_count,
-            train_ms,
-        ),
-        ("erm", erm_error, "", None, None),
-    ):
-        if error < bayes_error - 1e-12:
-            raise RuntimeError(
-                f"true error {error!r} below the Bayes error {bayes_error!r} on trial {trial_id}"
+    outcomes = []
+    for trial_id, result in zip(trial_ids, results):
+        trained_error = true_error(result.output_hypothesis(), fixture.distribution)
+        erm_error = true_error(result.erm_hypothesis, fixture.distribution)
+        rows = []
+        for algorithm, error, reason, r in (
+            ("disagreeing_experts", trained_error, result.trace.break_reason,
+             result.trace.pair_count),
+            ("erm", erm_error, "", None),
+        ):
+            if error < bayes_error - 1e-12:
+                raise RuntimeError(
+                    f"true error {error!r} below the Bayes error {bayes_error!r} on trial {trial_id}"
+                )
+            rows.append(
+                ResultRow(
+                    config.config_hash, cell, trial_id, algorithm, n, d, tau_true,
+                    error - tau_true, reason, r,
+                )
             )
-        rows.append(
-            ResultRow(
-                config.config_hash, cell, trial_id, algorithm, n, d, tau_true,
-                error - tau_true, reason, r, ms,
+
+        trace_rows = []
+        records = result.trace.records
+        for index, record in enumerate(records):
+            terminal = index == len(records) - 1
+            pair = record.pair_indices
+            trace_rows.append(
+                (
+                    trial_id,
+                    record.step,
+                    len(record.kept),
+                    "" if record.min_error is None else record.min_error,
+                    "" if record.candidates is None else int(record.candidates.size),
+                    "" if pair is None else pair[0],
+                    "" if pair is None else pair[1],
+                    result.trace.break_reason if terminal else "",
+                )
+            )
+        outcomes.append(
+            _TrialOutcome(
+                tuple(rows), tuple(trace_rows), result.trace.break_reason,
+                result.trace.pair_count, result.chose_core,
             )
         )
-
-    trace_rows = []
-    records = result.trace.records
-    for index, record in enumerate(records):
-        terminal = index == len(records) - 1
-        pair = record.pair_indices
-        trace_rows.append(
-            (
-                trial_id,
-                record.step,
-                len(record.kept),
-                "" if record.min_error is None else record.min_error,
-                "" if record.candidates is None else int(record.candidates.size),
-                "" if pair is None else pair[0],
-                "" if pair is None else pair[1],
-                result.trace.break_reason if terminal else "",
-            )
-        )
-    return rows, trace_rows
+    return outcomes
 
 
 def _run_upper_sweep(config: ExperimentConfig, threads: int):
@@ -294,46 +312,64 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
     fixtures = {tau: _build_fixture(config, tau) for tau in dict.fromkeys(taus)}
     floors = {tau: _error_floors(fixture) for tau, fixture in fixtures.items()}
 
-    jobs = [
-        (cell, tau, n, trial)
+    # Each cell's trials split into the fewest contiguous ranges of at most
+    # _SWEEP_BATCH trials, of sizes that differ by at most one.
+    count = -(-config.trials // _SWEEP_BATCH)
+    bounds = [config.trials * i // count for i in range(count + 1)]
+    batches = [
+        (cell, tau, n, range(start, stop))
         for cell, (tau, n) in enumerate(cells)
-        for trial in range(config.trials)
+        for start, stop in zip(bounds, bounds[1:])
     ]
 
-    def worker(job):
-        cell, tau, n, trial = job
-        return _sweep_trial(config, cell, fixtures[tau], floors[tau], n, trial)
+    def worker(batch):
+        cell, tau, n, trials = batch
+        return _sweep_batch(config, cell, fixtures[tau], floors[tau], n, trials)
 
-    outcomes = _ordered_map(worker, jobs, threads)
-    rows = [row for pair, _ in outcomes for row in pair]
-    trace_rows = [line for _, lines in outcomes for line in lines]
+    per_cell = [[] for _ in cells]
+    for (cell, *_), outcomes in zip(batches, _ordered_map(worker, batches, threads)):
+        per_cell[cell] += outcomes
 
+    rows = []
+    trace_rows = []
     summary = []
     lines = []
-    for cell, (tau, n) in enumerate(cells):
-        for algorithm in ("disagreeing_experts", "erm"):
-            excesses = [
-                row.excess_error
-                for row in rows
-                if row.cell == cell and row.algorithm == algorithm
-            ]
+    for cell, ((tau, n), outcomes) in enumerate(zip(cells, per_cell)):
+        for outcome in outcomes:
+            rows += outcome.rows
+            trace_rows += outcome.trace_rows
+        label = "tau=default" if tau is None else f"tau={tau:g}"
+        for position, algorithm in enumerate(("disagreeing_experts", "erm")):
+            excesses = [outcome.rows[position].excess_error for outcome in outcomes]
             mean = float(np.mean(excesses))
             p95 = float(np.percentile(excesses, 95))
-            summary.append(
-                {
-                    "cell": cell,
-                    "algorithm": algorithm,
-                    "tau": tau,
-                    "n": n,
-                    "mean_excess": mean,
-                    "p95_excess": p95,
-                }
-            )
-            label = "tau=default" if tau is None else f"tau={tau:g}"
-            lines.append(
+            entry = {
+                "cell": cell,
+                "algorithm": algorithm,
+                "tau": tau,
+                "n": n,
+                "mean_excess": mean,
+                "p95_excess": p95,
+            }
+            line = (
                 f"cell {cell} ({label}, n={n}) {algorithm}: "
                 f"mean_excess={mean:.6g} p95_excess={p95:.6g}"
             )
+            if algorithm == "disagreeing_experts":
+                reasons = {reason: 0 for reason in BREAK_REASONS}
+                for outcome in outcomes:
+                    reasons[outcome.break_reason] += 1
+                reasons = {reason: count for reason, count in reasons.items() if count}
+                pairs = sum(outcome.pairs for outcome in outcomes)
+                chose_core = sum(outcome.chose_core for outcome in outcomes)
+                entry.update(break_reasons=reasons, pairs=pairs, chose_core=chose_core)
+                line += (
+                    " breaks="
+                    + ",".join(f"{reason}:{count}" for reason, count in reasons.items())
+                    + f" pairs={pairs} chose_core={chose_core}/{len(outcomes)}"
+                )
+            summary.append(entry)
+            lines.append(line)
     return rows, trace_rows, tuple(summary), tuple(lines), True
 
 

@@ -1,5 +1,6 @@
 """Tests for the basic value types, subset ranking, and sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,16 @@ class TestExactNegativesFamily:
         enumerate_class(lazy)
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(row, lazy.matrix[i])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_enumeration_equals_the_row_by_row_loop(self, d):
+        for u in sorted({d + 1, d + 2, 7, 13, 25, 40}):
+            expected = np.ones((math.comb(u, d), u), dtype=np.int8)
+            for row, negatives in enumerate(itertools.combinations(range(u), d)):
+                expected[row, negatives] = -1
+            matrix = enumerate_class(HypothesisClass.with_exact_negatives(u, d)).matrix
+            assert matrix.dtype == np.int8 and not matrix.flags.writeable
+            np.testing.assert_array_equal(matrix, expected)
 
     def test_enumeration_cap_is_enforced(self):
         huge = HypothesisClass.with_exact_negatives(100, 8)

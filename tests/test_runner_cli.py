@@ -1,12 +1,14 @@
 """Tests for the experiment runner, its CSV outputs, and the command line."""
 
 import csv
+import hashlib
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from paclab import BREAK_REASONS, RngStream, SamplePieces, train
 from paclab.cli import main
 from paclab.config import ConfigError, parse_config_text
 from paclab.fixtures import FAMILIES, two_experts
@@ -362,3 +364,126 @@ class TestCli:
         out = capsys.readouterr().out
         assert "all identity checks passed" in out
         assert (tmp_path / "selftest.csv").exists()
+
+
+def data_digest(path):
+    """sha256 of a CSV's header and data rows, without the `#` metadata."""
+    with open(path, "rb") as handle:
+        rows = b"".join(line for line in handle if not line.startswith(b"#"))
+    return hashlib.sha256(rows).hexdigest()
+
+
+class TestPinnedRows:
+    """Data-row digests of small runs of each kind, recorded when the sweep
+    trained one trial at a time and the CSV was written row by row."""
+
+    SWEEP = """\
+[experiment]
+kind = upper_sweep
+seed = 4242
+trials = 70
+output = {out}/sweep.csv
+trace_output = {out}/sweep_trace.csv
+
+[grid]
+n = 3000, 30000
+tau = 0.05, 0.1
+
+[fixture]
+family = dsubset_adversary
+d = 2
+alpha = 0.5
+"""
+    FILTER_SWEEP = """\
+[experiment]
+kind = upper_sweep
+seed = 4243
+trials = 6
+output = {out}/filter.csv
+trace_output = {out}/filter_trace.csv
+
+[grid]
+n = 30000
+
+[fixture]
+family = dsubset_adversary
+u = 30
+d = 3
+alpha = 0.5
+
+[constants]
+exit_scale = 1e-3
+"""
+    LOWER_BOUND = """\
+[experiment]
+kind = lower_bound
+seed = 4244
+trials = 150
+output = {out}/lb.csv
+
+[adversary]
+tau = 0.05
+d = 2
+n = 400
+cap = 576
+"""
+    IDENTITIES = """\
+[experiment]
+kind = identities
+seed = 4245
+trials = 60
+output = {out}/id.csv
+
+[identities]
+chunk_size = 25
+"""
+
+    @pytest.mark.parametrize(
+        "text, digests",
+        [
+            (SWEEP, (
+                "00914828b5dd82c1a9a18b21a99c2da32001b6aa005d33d1c299344dca5a22ab",
+                "737bed0ab33e4e4f5e97beef047e6a8657fcbfe4036e1f8c3e419b35cb63da06",
+            )),
+            (FILTER_SWEEP, (
+                "99a9bf7daad7edfaa7951ed288468e8062391d074b81822da0eb1f4ced9b6cdf",
+                "456564ee187a94c1922eb0a95c35e6cc19a8435226d101c325203951ee8c3d37",
+            )),
+            (LOWER_BOUND, ("c155a8edd5f827f38eac6f345b8cf5249e13f1821c2f29d0d66d61f666165d8f",)),
+            (IDENTITIES, ("49b2e00905e2ae21ad247f70a654e1c08ef1acfe67bc52c9db665dcf97aa4c63",)),
+        ],
+        ids=["upper_sweep", "filter_sweep", "lower_bound", "identities"],
+    )
+    def test_data_rows_are_unchanged(self, tmp_path, text, digests):
+        result = run(parse_config_text(text.format(out=tmp_path)))
+        paths = [result.output_path] + ([result.trace_path] if result.trace_path else [])
+        assert tuple(data_digest(path) for path in paths) == digests
+
+
+class TestSweepSummary:
+    def test_learner_lines_count_breaks_pairs_and_core_picks(self, tmp_path):
+        config = parse_config_text(
+            TestPinnedRows.FILTER_SWEEP.replace("trials = 6", "trials = 3").format(out=tmp_path)
+        )
+        result = run(config)
+        fixture = FAMILIES["dsubset_adversary"](u=30, d=3, alpha=0.5)
+        chose_core = 0
+        for trial in range(3):
+            pieces = SamplePieces.drawn(fixture.distribution, 30_000, RngStream(config.seed, 1 + trial))
+            chose_core += train(pieces, fixture.klass, 3, config.delta, config.constants).chose_core
+        learned = [row for row in result.rows if row.algorithm == "disagreeing_experts"]
+        reasons = Counter(row.break_reason for row in learned)
+        pairs = sum(row.r for row in learned)
+        assert pairs >= 3
+        breaks = ",".join(f"{reason}:{reasons[reason]}" for reason in BREAK_REASONS if reasons[reason])
+        learner_line, erm_line = result.summary_lines
+        assert learner_line.endswith(f" breaks={breaks} pairs={pairs} chose_core={chose_core}/3")
+        assert "breaks=" not in erm_line and "chose_core" not in erm_line
+        entry = result.summary[0]
+        assert (entry["break_reasons"], entry["pairs"], entry["chose_core"]) == (
+            dict(reasons), pairs, chose_core
+        )
+
+    def test_a_cell_that_exits_at_round_one_says_so(self, tmp_path):
+        result = run(sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n="3000"))
+        assert result.summary_lines[0].endswith(" breaks=gamma_below_Zt:3 pairs=0 chose_core=3/3")
