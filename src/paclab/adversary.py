@@ -29,6 +29,7 @@ from .core import (
     SamplePieces,
     _trusted_hypothesis,
     subset_rank,
+    subset_unrank,
 )
 
 __all__ = [
@@ -69,8 +70,6 @@ class AdversaryInstance:
             raise ValueError(f"truth_rank {self.truth_rank} out of range for {total} labelings")
 
     def truth_negative_points(self) -> np.ndarray:
-        from .core import subset_unrank
-
         return subset_unrank(self.domain_size, self.negatives, self.truth_rank)
 
     def truth_hypothesis(self) -> Hypothesis:

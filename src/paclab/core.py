@@ -21,22 +21,17 @@ trusted constructors _trusted_hypothesis, _trusted_class and
 _trusted_table, which skip the checks and only make the arrays read-only.
 
 This module is also the one place where a class's -1/+1 labels become a
-kernel operand. A class keeps a float64 0/1 indicator of its +1 labels, built on
-first use and read-only, so every product over the class (mistake counts,
-row errors) skips the comparison and the cast. All live classes share one
-budget of _INDICATOR_BUDGET_CELLS rows x points (64 MiB); a class the rest
-of the budget cannot hold keeps none and is scored through its label matrix,
-and a collected class returns its cells to the budget. The mistake kernel
-scores one table or a stack of them with one product per row chunk:
-CountTable.mistakes returns one table's counts, _least_mistakes each
-table's lowest-index minimum.
+kernel operand. The mistake kernel (_mistake_products) takes one row chunk
+of the int8 label matrix at a time and casts its +1 entries to a 0/1
+operand, so no class keeps a copy of its labels in another dtype and the
+kernel's working memory is one chunk, whatever the class. It scores one
+table or a stack of them: CountTable.mistakes returns one table's counts,
+_least_mistakes each table's lowest-index minimum.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -59,15 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
-
-_INDICATOR_BUDGET_CELLS = 2**23
-"""Rows x points of +1 indicator that all live classes together may keep:
-64 MiB of float64. Near the enumeration cap one class can hold 10**8 cells,
-whose indicator would take gigabytes."""
-
-_indicator_cells = 0
-"""Cells of the indicators that live classes keep, guarded by _indicator_lock."""
-_indicator_lock = threading.Lock()
 
 _KERNEL_CHUNK_CELLS = 2**17
 """Rows x points per step of the mistake kernel's product. On a 2-core Xeon
@@ -170,8 +156,6 @@ class HypothesisClass:
         "declared_vc",
         "_matrix",
         "_negative_spec",
-        "_positive",
-        "__weakref__",
     )
 
     def __init__(self, matrix, declared_vc: int | None = None):
@@ -201,7 +185,6 @@ class HypothesisClass:
             raise ValueError("need 1 <= d < u")
         self = cls.__new__(cls)
         self._matrix = None
-        self._positive = None
         self._negative_spec = (int(u), int(d))
         self.domain_size = int(u)
         self.declared_vc = int(d)
@@ -258,51 +241,13 @@ class HypothesisClass:
         for i in range(self.size):
             yield self.hypothesis(i)
 
-    def positive_rows(self) -> np.ndarray | None:
-        """The kernel operand (matrix == 1) as a read-only float64 0/1
-        indicator, or None when the shared budget cannot hold it.
-
-        The indicator is built on the first call that fits in the budget and
-        kept; callers that get None read the label matrix instead.
-        """
-        if self._positive is None:
-            _claim_indicator(self)
-        return self._positive
-
 
 def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | None) -> None:
     matrix.setflags(write=False)
     klass._matrix = matrix
-    klass._positive = None
     klass._negative_spec = None
     klass.domain_size = int(matrix.shape[1])
     klass.declared_vc = declared_vc
-
-
-def _claim_indicator(klass: HypothesisClass) -> None:
-    """Build and keep klass's +1 indicator if the shared budget holds it.
-
-    Under the lock, so threads racing on the first call build one copy. The
-    cells return to the budget when the class is collected.
-    """
-    global _indicator_cells
-    matrix = klass.matrix
-    with _indicator_lock:
-        if klass._positive is not None:
-            return
-        if _indicator_cells + matrix.size > _INDICATOR_BUDGET_CELLS:
-            return
-        _indicator_cells += matrix.size
-        indicator = (matrix == 1).astype(np.float64)
-        indicator.setflags(write=False)
-        klass._positive = indicator
-    weakref.finalize(klass, _release_indicator, matrix.size)
-
-
-def _release_indicator(cells: int) -> None:
-    global _indicator_cells
-    with _indicator_lock:
-        _indicator_cells -= cells
 
 
 def _mistake_products(klass: HypothesisClass, differences: np.ndarray, exact: bool, index=None):
@@ -311,26 +256,20 @@ def _mistake_products(klass: HypothesisClass, differences: np.ndarray, exact: bo
     P = (matrix == 1) and differences the (u,) vector or (u, T) stack of
     c₋ − c₊ of T tables.
 
-    The product reads the class's +1 indicator in float64 when exact is
+    Each chunk of P is cast from the label matrix to float64 when exact is
     true (every table holds fewer than 2**53 samples, so each partial sum is
-    an exact integer) and the class has one; otherwise it is the integer
-    product over the label matrix. A chunk spans about _KERNEL_CHUNK_CELLS
-    operand cells and _KERNEL_OUTPUT_CELLS output cells.
+    an exact integer) and to int64 otherwise. A chunk spans about
+    _KERNEL_CHUNK_CELLS operand cells and _KERNEL_OUTPUT_CELLS output cells.
     """
-    indicator = klass.positive_rows() if exact else None
-    if indicator is None:
-        operand, weights = klass.matrix, differences
-    else:
-        operand, weights = indicator, np.asarray(differences, dtype=np.float64, order="C")
-    rows = operand.shape[0] if index is None else len(index)
+    matrix = klass.matrix
+    weights = np.asarray(differences, dtype=np.float64 if exact else np.int64, order="C")
+    rows = matrix.shape[0] if index is None else len(index)
     width = 1 if weights.ndim == 1 else weights.shape[1]
-    step = max(1, min(_KERNEL_CHUNK_CELLS // operand.shape[1], _KERNEL_OUTPUT_CELLS // width))
+    step = max(1, min(_KERNEL_CHUNK_CELLS // matrix.shape[1], _KERNEL_OUTPUT_CELLS // width))
     for a0 in range(0, rows, step):
         part = slice(a0, a0 + step)
-        block = operand[part] if index is None else operand[index[part]]
-        if indicator is None:
-            block = block == 1
-        yield a0, block @ weights
+        block = matrix[part] if index is None else matrix[index[part]]
+        yield a0, (block == 1).astype(weights.dtype) @ weights
 
 
 def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndarray]:
@@ -554,13 +493,11 @@ class CountTable:
         applies to a class only).
 
         A labeling pays every +1 sample except where it predicts +1, where
-        it pays the -1 samples instead: one product per row. A class with a
-        +1 indicator (HypothesisClass.positive_rows) is scored in float64
-        through it. Every partial sum there is an integer of magnitude at
-        most len(self), so below 2**53 samples the counts are exact; larger
-        tables, and classes without an indicator, take the integer product
-        over the label matrix. Either product runs in row chunks
-        (_mistake_products).
+        it pays the -1 samples instead: one product per row. A class is
+        scored in row chunks (_mistake_products), each chunk's +1 entries
+        cast to float64: every partial sum there is an integer of magnitude
+        at most len(self), so below 2**53 samples the counts are exact, and
+        larger tables take the int64 product.
         """
         negative, positive = self.counts[:, 0], self.counts[:, 1]
         difference = negative - positive

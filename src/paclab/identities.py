@@ -31,14 +31,6 @@ from .experts import CompositeClassifier
 
 __all__ = ["CHECKS", "CheckAggregate", "run_identity_chunk"]
 
-CHECKS = (
-    "pair_decomposition",
-    "total_probability",
-    "average_bound",
-    "determinize_split",
-    "composite_routing",
-)
-
 
 @dataclass(frozen=True)
 class CheckAggregate:
@@ -169,6 +161,8 @@ _CHECK_FUNCTIONS = {
     "composite_routing": _check_composite_routing,
 }
 
+CHECKS = tuple(_CHECK_FUNCTIONS)
+
 
 def run_identity_chunk(
     seed: int, chunk: int, instances: int, tolerance: float = 1e-9
@@ -186,8 +180,8 @@ def run_identity_chunk(
     for _ in range(instances):
         klass, dist = _random_instance(gen)
         pair = _draw_pair(klass, gen)
-        for name in CHECKS:
-            deviation = _CHECK_FUNCTIONS[name](klass, dist, pair, gen)
+        for name, check in _CHECK_FUNCTIONS.items():
+            deviation = check(klass, dist, pair, gen)
             if deviation > worst[name]:
                 worst[name] = deviation
             if deviation > tolerance:

@@ -64,14 +64,8 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
 def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
     HypothesisClass (of the members at index, which applies to a class
-    only): one mass product per row. A class is read through its +1
-    indicator when it has one; the 0/1 operand is the same either way, and
-    so are the bits."""
+    only): one mass product per row."""
     if isinstance(rows, HypothesisClass):
-        indicator = rows.positive_rows()
-        if indicator is not None:
-            positive = indicator if index is None else indicator[index]
-            return positive @ dist.mass[:, 0] + (1.0 - positive) @ dist.mass[:, 1]
         rows = rows.matrix if index is None else rows.matrix[index]
     positive = rows == 1
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]

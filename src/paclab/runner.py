@@ -21,12 +21,9 @@ between identical runs.
 A sweep trial never materializes its sample: the pieces the learner reads
 are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
 costs the same at any n. Each minimization step of a batch scores all its
-trials with one product over the class's cached +1 indicator
-(core.HypothesisClass.positive_rows), built when the run computes a
-fixture's error floors and shared by every batch.
-All live classes share the indicators' memory budget, so the fixtures of a
-tau grid that the budget cannot hold are scored through their label
-matrices instead.
+trials with one product per row chunk of the class's label matrix (the
+mistake kernel, core._mistake_products), so a class of any size costs the
+batch one chunk of working memory.
 """
 
 from __future__ import annotations
@@ -503,7 +500,7 @@ def run(config: ExperimentConfig) -> RunResult:
         trace_path=config.trace_output if config.kind == "upper_sweep" else None,
         rows=tuple(rows),
         trace_rows=tuple(trace_rows),
-        summary=summary if isinstance(summary, tuple) else tuple(summary),
+        summary=summary,
         summary_lines=tuple(lines),
         ok=ok,
         runtime_ms=runtime_ms,

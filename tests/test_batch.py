@@ -241,12 +241,6 @@ class TestTrainMany:
         fixture = dsubset_adversary(tau=0.1, d=2)
         check_batch(drawn(fixture, 600, 43, 3), fixture.klass, fixture.vc_dim)
 
-    def test_the_indicator_budget_full(self, monkeypatch):
-        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", 0)
-        fixture = dsubset_adversary(tau=0.05, d=2)
-        assert fixture.klass.positive_rows() is None
-        check_batch(drawn(fixture, 3000, 44, 4), fixture.klass, fixture.vc_dim)
-
     def test_samples_beyond_float_precision(self):
         """The estimate third, the holdout and the fit third hold 2**53
         samples or more, so their steps take the integer product."""
@@ -348,7 +342,6 @@ class TestLeastMistakes:
             CountTable(np.array([[2**53 + 1, 3], [5, 2**53 + 7], [1, 1]])),
             CountTable(np.array([[4, 1], [0, 2], [3, 3]])),
         ]
-        assert klass.positive_rows() is not None
         assert erm_many(klass, tables) == [reference_erm(klass, t) for t in tables]
 
     def test_an_empty_table_is_rejected(self, complement_pair_class):

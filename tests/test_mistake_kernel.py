@@ -1,13 +1,13 @@
-"""The class mistake kernel against the integer product it replaced.
+"""The class mistake kernel against a plain integer reference.
 
-CountTable.mistakes scores a HypothesisClass in float64 through the class's
-cached +1 indicator, or through the integer product over its label matrix
-when the shared indicator budget cannot hold the class. Both must give the
-exact integers of (matrix == 1) @ (neg - pos) + pos.sum().
+CountTable.mistakes scores a HypothesisClass one row chunk of its label
+matrix at a time, casting the chunk's +1 entries to float64, or to int64
+for a table of 2**53 samples or more. Either way it must give the exact
+integers of (matrix == 1) @ (neg - pos) + pos.sum(), and its working memory
+must stay about one chunk.
 """
 
-import gc
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,29 +26,21 @@ from paclab import (
     diagnose_failure_events,
     enumerate_class,
     erm,
+    erm_many,
     measures,
     near_optimal_set,
 )
 from paclab import core
 
-BUDGETS = ("cached", "chunked", "matrix")
+CHUNKINGS = ("whole", "chunked")
 
 
-@pytest.fixture(params=BUDGETS)
-def budget(request, monkeypatch):
-    """Run a test with the indicator cached, cached and multiplied in chunks
-    of a few cells, and with the budget full so every class reads its
-    label matrix."""
+@pytest.fixture(params=CHUNKINGS)
+def chunking(request, monkeypatch):
+    """Run a test with the default chunks, and with chunks of a few cells."""
     if request.param == "chunked":
         monkeypatch.setattr(core, "_KERNEL_CHUNK_CELLS", 7)
-    if request.param == "matrix":
-        monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", 0)
     return request.param
-
-
-def room_for(monkeypatch, cells):
-    """Leave exactly `cells` free in the shared indicator budget."""
-    monkeypatch.setattr(core, "_INDICATOR_BUDGET_CELLS", core._indicator_cells + cells)
 
 
 def reference_mistakes(matrix, counts):
@@ -70,7 +62,7 @@ def random_counts(gen, u, high):
 
 class TestExactCounts:
     @pytest.mark.parametrize("high", [5, 10**9])
-    def test_random_classes_and_tables(self, budget, high):
+    def test_random_classes_and_tables(self, chunking, high):
         gen = RngStream(71, high).generator()
         for _ in range(200):
             klass = random_class(gen)
@@ -80,7 +72,7 @@ class TestExactCounts:
             assert got.dtype == np.int64
             assert got.tolist() == expected.tolist()
 
-    def test_erm_and_near_optimal_set(self, budget):
+    def test_erm_and_near_optimal_set(self, chunking):
         gen = RngStream(72, 1).generator()
         for _ in range(200):
             klass = random_class(gen)
@@ -96,7 +88,7 @@ class TestExactCounts:
                 np.flatnonzero(expected / n <= gamma + allowance).tolist()
             )
 
-    def test_exact_negatives_family(self, budget):
+    def test_exact_negatives_family(self, chunking):
         klass = HypothesisClass.with_exact_negatives(12, 3)
         counts = random_counts(RngStream(73, 1).generator(), 12, 10**9)
         expected = reference_mistakes(enumerate_class(klass).matrix, counts)
@@ -131,7 +123,7 @@ def one_round_trace(kept, candidates, filter_half):
 
 
 class TestDiagnostics:
-    def test_empirical_errors_match_the_integer_reference(self, budget):
+    def test_empirical_errors_match_the_integer_reference(self, chunking):
         gen = RngStream(74, 1).generator()
         for _ in range(100):
             klass = random_class(gen)
@@ -163,7 +155,7 @@ class TestDiagnostics:
 
 
 class TestRowErrors:
-    def test_class_rows_equal_matrix_rows_bit_for_bit(self, budget):
+    def test_class_rows_equal_matrix_rows_bit_for_bit(self, chunking):
         gen = RngStream(75, 1).generator()
         for _ in range(100):
             klass = random_class(gen)
@@ -179,66 +171,20 @@ class TestRowErrors:
             )
 
 
-class TestIndicatorCache:
-    def test_built_once_read_only_and_kept(self, monkeypatch):
-        klass = HypothesisClass.with_exact_negatives(8, 2)
-        room_for(monkeypatch, len(klass) * 8)
-        assert klass._positive is None
-        table = CountTable(np.ones((8, 2), dtype=np.int64))
-        erm(klass, table)
-        indicator = klass._positive
-        assert indicator is not None and indicator.dtype == np.float64
-        assert not indicator.flags.writeable
-        with pytest.raises(ValueError):
-            indicator[0, 0] = 0.0
-        assert np.array_equal(indicator, klass.matrix == 1)
-        near_optimal_set(klass, table, 0.5, 0.1)
-        measures.row_errors(klass, DiscreteDistribution(np.full((8, 2), 1 / 16)))
-        assert klass._positive is indicator
-        assert klass.positive_rows() is indicator
-
-    def test_absent_above_the_budget(self, monkeypatch):
-        klass = HypothesisClass.with_exact_negatives(8, 2)
-        room_for(monkeypatch, len(klass) * 8 - 1)
-        table = CountTable(np.arange(16, dtype=np.int64).reshape(8, 2))
-        index, _ = erm(klass, table)
-        measures.row_errors(klass, DiscreteDistribution(np.full((8, 2), 1 / 16)))
-        assert klass._positive is None
-        assert klass.positive_rows() is None
-        expected = reference_mistakes(klass.matrix, table.counts)
-        assert index == int(np.argmin(expected))
-
-    def test_the_budget_is_shared_and_returned_on_collection(self, monkeypatch):
-        first = HypothesisClass.with_exact_negatives(8, 2)
-        second = HypothesisClass.with_exact_negatives(8, 2)
-        cells = len(first) * 8
-        room_for(monkeypatch, cells)
-        held = core._indicator_cells
-        assert first.positive_rows() is not None
-        assert core._indicator_cells == held + cells
-        assert second.positive_rows() is None
-        del first
-        gc.collect()
-        assert core._indicator_cells == held
-        assert second.positive_rows() is not None
-        assert core._indicator_cells == held + cells
-
-    def test_racing_threads_build_one_copy(self, monkeypatch):
-        klass = HypothesisClass.with_exact_negatives(12, 3)
-        klass.matrix
-        room_for(monkeypatch, 2 * len(klass) * 12)
-        held = core._indicator_cells
-        barrier = threading.Barrier(4)
-        seen = []
-
-        def claim():
-            barrier.wait()
-            seen.append(klass.positive_rows())
-
-        threads = [threading.Thread(target=claim) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert all(indicator is seen[0] for indicator in seen)
-        assert core._indicator_cells == held + len(klass) * 12
+def test_a_large_class_is_scored_in_about_one_chunk_of_memory():
+    """Scoring all 67,525 rows of u = 75, d = 3 holds the output and about
+    one chunk, far below the 40 MB of a float64 copy of the class's labels."""
+    klass = enumerate_class(HypothesisClass.with_exact_negatives(75, 3))
+    gen = RngStream(76, 1).generator()
+    tables = [CountTable(gen.integers(0, 50, size=(75, 2))) for _ in range(16)]
+    tracemalloc.start()
+    try:
+        paid = tables[0].mistakes(klass)
+        best = erm_many(klass, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = reference_mistakes(klass.matrix, tables[0].counts)
+    assert paid.tolist() == expected.tolist()
+    assert best[0] == (int(np.argmin(expected)), int(expected.min()) / len(tables[0]))
+    assert peak < 4 * 2**20, peak
