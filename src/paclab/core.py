@@ -4,9 +4,11 @@ Points are the integers 0..u-1 and labels live in {-1, +1}. Hypotheses are
 fixed label vectors, classes are ordered sets of hypotheses, and a joint
 distribution assigns mass to every (point, label) cell. A sample is either
 an ordered Dataset or a CountTable of its cells; SamplePieces hands a sample
-out as contiguous pieces of tables, sliced from a Dataset or drawn on
-demand. Everything except SamplePieces is immutable after construction, so
-it can be shared freely across threads.
+out as contiguous pieces of tables, sliced from a Dataset or drawn from a
+distribution, a whole run of pieces per call (for drawn pieces, one
+multinomial call over the array of the run's sizes). Everything except
+SamplePieces is immutable after construction, so it can be shared freely
+across threads.
 
 Validation happens once, at the public boundary. The constructors of
 Hypothesis, HypothesisClass, DiscreteDistribution, Dataset and CountTable
@@ -18,7 +20,8 @@ a valid one. Hypotheses, classes and tables the package derives from
 already validated objects (class members, tabulated composites, split and
 determinized classes, learner outputs, sample pieces) are built by the
 trusted constructors _trusted_hypothesis, _trusted_class and
-_trusted_table, which skip the checks and only make the arrays read-only.
+_trusted_table, which skip the checks and only make the arrays read-only;
+a table whose size is known (a piece of a requested size) is not summed.
 
 This module is also the one place where a class's -1/+1 labels become a
 kernel operand. The mistake kernel (_mistake_products) takes one row chunk
@@ -513,16 +516,17 @@ class CountTable:
         return _trusted_table(np.where(mask[:, None], self.counts, 0))
 
 
-def _init_table(table: CountTable, counts: np.ndarray) -> None:
+def _init_table(table: CountTable, counts: np.ndarray, size: int | None = None) -> None:
     counts.setflags(write=False)
     object.__setattr__(table, "counts", counts)
-    object.__setattr__(table, "size", int(counts.sum()))
+    object.__setattr__(table, "size", int(counts.sum()) if size is None else size)
 
 
-def _trusted_table(counts: np.ndarray) -> CountTable:
-    """Wrap int64 counts the package computed itself, skipping validation."""
+def _trusted_table(counts: np.ndarray, size: int | None = None) -> CountTable:
+    """Wrap int64 counts the package computed itself, skipping validation;
+    size, when given, must be their total."""
     table = object.__new__(CountTable)
-    _init_table(table, counts)
+    _init_table(table, counts, size)
     return table
 
 
@@ -534,27 +538,32 @@ def _cell_counts(points: np.ndarray, labels: np.ndarray, domain_size: int) -> np
 class SamplePieces:
     """A sample of known size, handed out as contiguous pieces of count tables.
 
-    take(size) returns the table of the next size samples. The pieces come
-    either from an ordered Dataset by exact slicing (of), or are drawn on
-    demand from a distribution with one multinomial draw each (drawn).
-    Given the pieces already taken, the rest of an i.i.d. sample is
-    independent of them, so drawn pieces have exactly the law of slicing n
-    ordered draws, at O(domain) cost per piece whatever its size. Draws
-    happen in the order the pieces are taken.
+    take_many(sizes) returns the tables of the next len(sizes) pieces, a run
+    of pieces, with one call of the source; take(size) is the run of one.
+    The pieces come either from an ordered Dataset by exact slicing (of),
+    or are drawn from a distribution (drawn): a run is one multinomial call
+    over the array of its sizes. numpy draws the trials of an array n one
+    after another from the same bit stream, so a run's tables, and the
+    generator's state after it, equal those of one call per piece. Given
+    the pieces already taken, the rest of an i.i.d. sample is independent
+    of them, so drawn pieces have exactly the law of slicing n ordered
+    draws, at O(domain) cost per piece whatever its size. Draws happen in
+    the order the pieces are taken.
     """
 
-    __slots__ = ("domain_size", "_draw", "_cursor", "_stop", "_taken")
+    __slots__ = ("domain_size", "_draw", "_cursor", "_stop", "_runs")
 
     def __init__(self, size: int, domain_size: int, draw, start: int = 0):
-        """draw(start, size) must return the int64 (domain_size, 2) counts of
-        the samples at positions start .. start + size - 1."""
+        """draw(start, sizes) must return the stacked int64 (len(sizes),
+        domain_size, 2) counts of the consecutive pieces of those sizes from
+        position start on. It is called once per run, with a nonempty list."""
         if size < 0:
             raise ValueError("size must be nonnegative")
         self.domain_size = int(domain_size)
         self._draw = draw
         self._cursor = start
         self._stop = start + size
-        self._taken = np.zeros((self.domain_size, 2), dtype=np.int64)
+        self._runs: list[np.ndarray] = []
 
     @classmethod
     def of(cls, data) -> "SamplePieces":
@@ -562,16 +571,20 @@ class SamplePieces:
         are returned as they are."""
         if isinstance(data, SamplePieces):
             return data
+        u = data.domain_size
 
-        def draw(start: int, size: int) -> np.ndarray:
-            window = slice(start, start + size)
-            return _cell_counts(data.points[window], data.labels[window], data.domain_size)
+        def draw_run(start: int, sizes: list) -> np.ndarray:
+            # Point x of the run's k-th piece is counted as point k*u + x.
+            window = slice(start, start + sum(sizes))
+            shift = np.repeat(np.arange(len(sizes)) * u, sizes)
+            counts = _cell_counts(data.points[window] + shift, data.labels[window], len(sizes) * u)
+            return counts.reshape(len(sizes), u, 2)
 
-        return cls(len(data), data.domain_size, draw)
+        return cls(len(data), u, draw_run)
 
     @classmethod
     def drawn(cls, dist: DiscreteDistribution, n: int, rng) -> "SamplePieces":
-        """n i.i.d. samples from the joint mass table, drawn piece by piece.
+        """n i.i.d. samples from the joint mass table, drawn run by run.
 
         rng may be an RngStream (a fresh generator is taken from it) or an
         already-positioned numpy Generator.
@@ -581,11 +594,16 @@ class SamplePieces:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         flat = dist.mass.reshape(-1)
         probabilities = flat / flat.sum()
+        u = dist.domain_size
 
-        def draw(start: int, size: int) -> np.ndarray:
-            return gen.multinomial(size, probabilities).reshape(-1, 2)
+        def draw_run(start: int, sizes: list) -> np.ndarray:
+            # The same draws either way; numpy's array-n path costs about
+            # 11 µs more per call (2-core Xeon, 100 cells), which a one-piece
+            # run would pay for nothing.
+            n = sizes[0] if len(sizes) == 1 else sizes
+            return gen.multinomial(n, probabilities).reshape(len(sizes), u, 2)
 
-        return cls(n, dist.domain_size, draw)
+        return cls(n, u, draw_run)
 
     def __len__(self) -> int:
         """Samples not yet handed out."""
@@ -593,12 +611,25 @@ class SamplePieces:
 
     def take(self, size: int) -> CountTable:
         """The table of the next size samples."""
-        if not 0 <= size <= len(self):
-            raise ValueError(f"cannot take {size} of {len(self)} remaining samples")
-        counts = self._draw(self._cursor, size)
-        self._cursor += size
-        self._taken += counts
-        return _trusted_table(counts)
+        return self.take_many([size])[0]
+
+    def take_many(self, sizes) -> list[CountTable]:
+        """The tables of the next pieces of the given sizes, in order, with
+        one call of the source; each table carries its size, so none is
+        summed again."""
+        sizes = [int(size) for size in sizes]
+        total = sum(sizes)
+        if min(sizes, default=0) < 0:
+            raise ValueError(f"cannot take a negative number of samples, got {sizes}")
+        if total > len(self):
+            raise ValueError(f"cannot take {total} of {len(self)} remaining samples")
+        if not sizes:
+            return []
+        counts = self._draw(self._cursor, sizes)
+        counts.setflags(write=False)
+        self._cursor += total
+        self._runs.append(counts)
+        return [_trusted_table(piece, size) for piece, size in zip(counts, sizes)]
 
     def split(self, size: int) -> "SamplePieces":
         """The next size samples as pieces of their own.
@@ -614,7 +645,10 @@ class SamplePieces:
 
     def taken(self) -> CountTable:
         """The table of every piece taken so far."""
-        return _trusted_table(self._taken.copy())
+        taken = np.zeros((self.domain_size, 2), dtype=np.int64)
+        for counts in self._runs:
+            taken += counts.sum(axis=0)
+        return _trusted_table(taken)
 
 
 def vc_dimension_bruteforce(klass: HypothesisClass, max_domain: int = 24) -> int:

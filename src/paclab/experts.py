@@ -9,17 +9,24 @@ data, fits on the second, and validates against a plain minimizer on the
 rest.
 
 A sample reaches training as SamplePieces: contiguous pieces read as count
-tables, either sliced from an ordered Dataset or drawn on demand at
-O(domain) cost per piece whatever the sample size. Nothing here draws
-randomness of its own; drawn pieces are drawn in the order they are taken.
+tables, either sliced from an ordered Dataset or drawn at O(domain) cost
+per piece whatever the sample size. Nothing here draws randomness of its
+own; drawn pieces are drawn in the order they are taken. A sample is taken
+in two runs of pieces: the estimate third, then, once the estimate fixes
+the schedule, every filter block, the holdout and the validation third.
+A drawn sample thus costs two multinomial draws, however many rounds the
+loop runs.
 
 Training runs on a batch of samples (train_many); train and core_train are
 its batch of one. Every minimization step of the batch (the estimate
 third, each filtering round over the samples still in the loop, the
 nonempty holdout sides and the fit third) scores every sample's table with
-one product of the class against the stacked tables (engine.erm_many). A
-round that neither exits nor empties its block runs the near-optimal
-filter and the pair search one sample at a time.
+one product of the class against the stacked tables (engine.erm_many), and
+the validation errors of the whole batch are one integer product. A round
+that neither exits nor empties its block runs the near-optimal filter and
+the pair search one sample at a time. Until a sample records a pair, its
+loop filters nothing: each block is its own kept table and the holdout is
+all agreement side.
 
 Every iteration keeps its filtered block's table on the trace, so the
 diagnostic functions can recompute conditional quantities exactly afterwards.
@@ -40,6 +47,7 @@ from .core import (
     HypothesisClass,
     SamplePieces,
     _trusted_hypothesis,
+    _trusted_table,
     enumerate_class,
 )
 from .engine import (
@@ -96,7 +104,10 @@ class CompositeClassifier:
         return measures.agreement_points(self.pairs, self.on_agreement.domain_size)
 
     def tabulate(self) -> Hypothesis:
-        """Collapse the routing rule to one label vector over the domain."""
+        """Collapse the routing rule to one label vector over the domain;
+        without pairs, every point is routed to the agreement side."""
+        if not self.pairs:
+            return self.on_agreement
         mask = self.routing_mask()
         return _trusted_hypothesis(
             np.where(mask, self.on_agreement.labels, self.on_disagreement.labels)
@@ -163,8 +174,9 @@ def core_train(
     half feeds the filtering rounds, the second half fits the two routing
     hypotheses. Blocks are contiguous; the last block absorbs the
     remainder. Every block is taken, in order, before the holdout, whether
-    or not the loop reaches it. An empty filtered block ends the loop with
-    its own reason rather than aborting.
+    or not the loop reaches it: the blocks and the holdout are one run of
+    pieces. An empty filtered block ends the loop with its own reason
+    rather than aborting.
 
     Returns the classifier and a trace recording every round.
     """
@@ -173,30 +185,46 @@ def core_train(
     )[0]
 
 
+def _filter_plan(m: int, d, delta, err_estimate, consts) -> tuple[Schedule, list[int]]:
+    """The schedule of a filtering run on m samples, and the sizes of its
+    pieces: each block, then the holdout half."""
+    if m < 2:
+        raise ValueError("need at least 2 samples to split in half")
+    half = m // 2
+    schedule = make_schedule(err_estimate, half, d, delta, consts)
+    rounds = schedule.rounds
+    base_block = half // rounds
+    blocks = [base_block] * (rounds - 1) + [half - (rounds - 1) * base_block]
+    return schedule, blocks + [m - half]
+
+
 class _FilterRun:
-    """One sample's filtering loop while its batch runs: the pieces it was
+    """One sample's filtering loop while its batch runs: the tables it was
     dealt and what its rounds have recorded so far. reason stays None while
     the loop goes on."""
 
     __slots__ = ("err_estimate", "half", "schedule", "blocks", "holdout", "records",
                  "selected", "selected_indices", "reason")
 
-    def __init__(self, pieces: SamplePieces, d, delta, err_estimate, consts):
-        m = len(pieces)
-        if m < 2:
-            raise ValueError("need at least 2 samples to split in half")
+    def __init__(self, schedule: Schedule, tables, err_estimate):
+        """tables are the run of pieces _filter_plan sized: the blocks, then
+        the holdout."""
         self.err_estimate = err_estimate
-        self.half = m // 2
-        self.schedule = make_schedule(err_estimate, self.half, d, delta, consts)
-        rounds = self.schedule.rounds
-        base_block = self.half // rounds
-        self.blocks = [pieces.take(base_block) for _ in range(rounds - 1)]
-        self.blocks.append(pieces.take(self.half - (rounds - 1) * base_block))
-        self.holdout = pieces.take(m - self.half)
+        self.schedule = schedule
+        self.blocks = tables[:-1]
+        self.holdout = tables[-1]
+        self.half = sum(len(block) for block in self.blocks)
         self.records: list[IterationRecord] = []
         self.selected: list[tuple[Hypothesis, Hypothesis]] = []
         self.selected_indices: list[tuple[int, int]] = []
         self.reason = None
+
+    def kept(self, table: CountTable, u: int) -> CountTable:
+        """The samples of a table where every recorded pair agrees; with no
+        pair recorded, the table itself."""
+        if not self.selected:
+            return table
+        return table.restrict(measures.agreement_points(self.selected, u))
 
     def finish_round(self, klass, step, kept, min_error, d, delta, consts) -> None:
         """Exit, or record the round's near-optimal set and pair search."""
@@ -218,20 +246,32 @@ class _FilterRun:
 
 
 def _core_train_many(parts, klass, d, delta, estimates, consts):
-    """core_train on each SamplePieces of parts, with its own estimate.
+    """core_train on each SamplePieces of parts, with its own estimate: each
+    sample's blocks and holdout are taken as one run of pieces."""
+    runs = []
+    for pieces, estimate in zip(parts, estimates):
+        schedule, sizes = _filter_plan(len(pieces), d, delta, estimate, consts)
+        runs.append(_FilterRun(schedule, pieces.take_many(sizes), estimate))
+    return _run_filters(runs, klass, d, delta, consts)
+
+
+def _run_filters(runs, klass, d, delta, consts):
+    """The filtering loops and holdout fits of a batch of _FilterRuns.
 
     Each step of the loop filters every sample still running and scores the
     nonempty filtered blocks with one erm_many call; the holdout fits score
-    every nonempty side of every sample with one more.
+    every nonempty side of every sample with one more. A sample without a
+    recorded pair filters nothing: its block is its own kept table, and its
+    holdout is all on the agreement side.
     """
-    runs = [_FilterRun(pieces, d, delta, e, consts) for pieces, e in zip(parts, estimates)]
+    u = klass.domain_size
     active = runs
     step = 1
     while active:
         scored = []
         for run in active:
             block = run.blocks[step - 1]
-            kept = block.restrict(measures.agreement_points(run.selected, klass.domain_size))
+            kept = run.kept(block, u)
             if len(kept) == 0:
                 run.records.append(IterationRecord(step, len(block), kept, None, None, None))
                 run.reason = REASON_EMPTY_BLOCK
@@ -243,10 +283,14 @@ def _core_train_many(parts, klass, d, delta, estimates, consts):
         step += 1
         active = [run for run in active if run.reason is None and step <= len(run.blocks)]
 
+    empty = _trusted_table(np.zeros((u, 2), dtype=np.int64), 0)
     sides = []
     for run in runs:
-        final_mask = measures.agreement_points(run.selected, klass.domain_size)
-        sides.append((run.holdout.restrict(final_mask), run.holdout.restrict(~final_mask)))
+        if run.selected:
+            final_mask = measures.agreement_points(run.selected, u)
+            sides.append((run.holdout.restrict(final_mask), run.holdout.restrict(~final_mask)))
+        else:
+            sides.append((run.holdout, empty))
     fitted = iter(erm_many(klass, [side for pair in sides for side in pair if len(side)]))
 
     def fit_or_default(side):
@@ -313,8 +357,9 @@ def train(
     third estimates the attainable error level (clamped away from 0 and 1
     so the schedule is well defined), the middle third trains both
     candidates, and the remainder picks whichever validates better, with
-    ties going to the routing classifier. Pieces are taken in sample order:
-    the estimate third, core_train's blocks and holdout, then the rest.
+    ties going to the routing classifier. Pieces are taken in sample order
+    and in two runs: the estimate third, then core_train's blocks and
+    holdout together with the rest.
     """
     return train_many([data], klass, d, delta, consts)[0]
 
@@ -329,12 +374,17 @@ def train_many(
     """train on each sample of a sequence, as one batch.
 
     The result equals [train(data) for data in samples] field by field, and
-    each sample's pieces are taken in the same order as train takes them.
-    A batch of one runs its filtering step through core_train, so a call
-    of train is also a call of core_train, as tools that time core_train
-    expect.
+    each sample's pieces are taken in the same order as train takes them:
+    the estimate third, then, once its schedule is known, every block, the
+    holdout and the validation third as one run. So a drawn sample costs
+    two draws. The validation errors of the whole batch are one stacked
+    integer product. A batch of one runs its filtering step through
+    core_train, on its run's tables, so a call of train is also a call of
+    core_train, as tools that time core_train expect.
     """
     pieces = [SamplePieces.of(data) for data in samples]
+    if not pieces:
+        return []
     if any(len(p) < 3 for p in pieces):
         raise ValueError("need at least 3 samples to split in thirds")
     thirds = [len(p) // 3 for p in pieces]
@@ -344,21 +394,34 @@ def train_many(
         for (_, error), third in zip(erm_many(klass, estimate_parts), thirds)
     ]
 
-    fits = [p.split(third) for p, third in zip(pieces, thirds)]
+    fits, validations = [], []
+    for p, third, estimate in zip(pieces, thirds, estimates):
+        schedule, sizes = _filter_plan(third, d, delta, estimate, consts)
+        *fit, validation = p.take_many(sizes + [len(p) - third])
+        fits.append((schedule, fit))
+        validations.append(validation)
     if len(fits) == 1:
-        cores = [core_train(fits[0], klass, d, delta, estimates[0], consts)]
+        cores = [core_train(_replayed(fits[0][1]), klass, d, delta, estimates[0], consts)]
     else:
-        cores = _core_train_many(fits, klass, d, delta, estimates, consts)
-    fitted = erm_many(klass, [fit.taken() for fit in fits])
+        runs = [_FilterRun(schedule, fit, e) for (schedule, fit), e in zip(fits, estimates)]
+        cores = _run_filters(runs, klass, d, delta, consts)
+    fit_tables = [
+        _trusted_table(sum(table.counts for table in fit), third)
+        for (_, fit), third in zip(fits, thirds)
+    ]
+    erm_indices = [index for index, _ in erm_many(klass, fit_tables)]
 
+    core_labels = np.stack([classifier.tabulate().labels for classifier, _ in cores])
+    paid = _paired_mistakes(
+        np.stack([core_labels, klass.matrix[erm_indices]], axis=1), validations
+    ).tolist()
     results = []
-    for p, estimate, (core_classifier, trace), (erm_index, _) in zip(
-        pieces, estimates, cores, fitted
+    for (core_classifier, trace), estimate, erm_index, validation, (core_paid, erm_paid) in zip(
+        cores, estimates, erm_indices, validations, paid
     ):
-        part_validate = p.take(len(p))
         erm_hypothesis = klass.hypothesis(erm_index)
-        validation_core = measures.empirical_error(core_classifier.tabulate(), part_validate)
-        validation_erm = measures.empirical_error(erm_hypothesis, part_validate)
+        validation_core = core_paid / len(validation)
+        validation_erm = erm_paid / len(validation)
         chose_core = validation_core <= validation_erm
         results.append(
             TrainResult(
@@ -374,6 +437,31 @@ def train_many(
             )
         )
     return results
+
+
+def _replayed(tables) -> SamplePieces:
+    """Pieces that hand out again the given consecutive tables, taken as
+    one run of exactly their sizes: the run a batch of one already drew,
+    for core_train to take."""
+    sizes = [len(table) for table in tables]
+    stacked = np.stack([table.counts for table in tables])
+
+    def draw(start: int, run_sizes: list) -> np.ndarray:
+        if start != 0 or run_sizes != sizes:
+            raise ValueError("replayed pieces must be taken as one run of their sizes")
+        return stacked
+
+    return SamplePieces(sum(sizes), tables[0].domain_size, draw)
+
+
+def _paired_mistakes(labels: np.ndarray, tables) -> np.ndarray:
+    """Mistake counts of labels[t, j] on tables[t] for every t and j, with
+    labels a (T, k, u) stack of -1/+1 vectors: one integer product over the
+    batch, term by term the counts of CountTable.mistakes."""
+    counts = np.stack([table.counts for table in tables])
+    negative, positive = counts[:, :, 0], counts[:, :, 1]
+    paid = np.matmul((labels == 1).astype(np.int64), (negative - positive)[:, :, None])
+    return paid[:, :, 0] + positive.sum(axis=1)[:, None]
 
 
 def _clamped_estimate(error: float, size: int) -> float:

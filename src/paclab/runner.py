@@ -19,11 +19,16 @@ a header row, then data. The timestamp line is the only part that varies
 between identical runs.
 
 A sweep trial never materializes its sample: the pieces the learner reads
-are drawn as count tables on demand (core.SamplePieces.drawn), so sampling
-costs the same at any n. Each minimization step of a batch scores all its
-trials with one product per row chunk of the class's label matrix (the
-mistake kernel, core._mistake_products), so a class of any size costs the
-batch one chunk of working memory.
+are drawn as count tables (core.SamplePieces.drawn), two multinomial draws
+per trial (the estimate third, then every other piece as one run), so
+sampling costs the same at any n. Each minimization step of a batch scores
+all its trials with one product per row chunk of the class's label matrix
+(the mistake kernel, core._mistake_products), so a class of any size costs
+the batch one chunk of working memory; the validation errors and both true
+errors of every trial in a batch are one stacked product each.
+
+A grid n too small for the fixture's d, that is below 6(d + 1), where a
+trial's filter half would not exceed d, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .core import RngStream, SamplePieces, enumerate_class
 from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
-from .measures import row_errors, true_error
+from .measures import row_errors
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -233,6 +238,7 @@ class _TrialOutcome:
     trace_rows: tuple
     break_reason: str
     pairs: int
+    rounds: int
     chose_core: bool
 
 
@@ -245,7 +251,11 @@ def _sweep_batch(
     trials: range,
 ) -> list[_TrialOutcome]:
     """Train a contiguous range of one cell's trials as one batch. Trial t
-    draws its sample from RngStream(seed, 1 + trial_id), as it would alone."""
+    draws its sample from RngStream(seed, 1 + trial_id), as it would alone.
+
+    Both true errors of every trial come from one pass over the stacked
+    labels of the outputs and the ERM picks: per row, the same float sum
+    as measures.true_error."""
     trial_ids = [cell * config.trials + trial for trial in trials]
     samples = [
         SamplePieces.drawn(fixture.distribution, n, RngStream(config.seed, 1 + trial_id))
@@ -254,11 +264,20 @@ def _sweep_batch(
     d = fixture.vc_dim
     tau_true, bayes_error = floors
     results = train_many(samples, fixture.klass, d, config.delta, config.constants)
+    labels = np.stack(
+        [
+            h.labels
+            for result in results
+            for h in (result.output_hypothesis(), result.erm_hypothesis)
+        ]
+    )
+    mass = fixture.distribution.mass
+    errors = np.where(labels == 1, mass[:, 0], mass[:, 1]).sum(axis=1).tolist()
 
     outcomes = []
-    for trial_id, result in zip(trial_ids, results):
-        trained_error = true_error(result.output_hypothesis(), fixture.distribution)
-        erm_error = true_error(result.erm_hypothesis, fixture.distribution)
+    for trial_id, result, trained_error, erm_error in zip(
+        trial_ids, results, errors[0::2], errors[1::2]
+    ):
         rows = []
         for algorithm, error, reason, r in (
             ("disagreeing_experts", trained_error, result.trace.break_reason,
@@ -296,7 +315,7 @@ def _sweep_batch(
         outcomes.append(
             _TrialOutcome(
                 tuple(rows), tuple(trace_rows), result.trace.break_reason,
-                result.trace.pair_count, result.chose_core,
+                result.trace.pair_count, len(records), result.chose_core,
             )
         )
     return outcomes
@@ -307,6 +326,14 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
     cells = [(tau, n) for tau in taus for n in config.grid_n]
     # A fixture depends on tau alone, so each is built once for all its cells.
     fixtures = {tau: _build_fixture(config, tau) for tau in dict.fromkeys(taus)}
+    # A trial splits n into thirds and its filter third in half, and the
+    # schedule needs that half to exceed d: (n // 3) // 2 > d.
+    d = max(fixture.vc_dim for fixture in fixtures.values())
+    if min(config.grid_n) < 6 * (d + 1):
+        raise ConfigError(
+            f"grid n = {min(config.grid_n)} is too small for fixture "
+            f"{config.fixture_family!r} with d = {d}: need n >= 6(d + 1) = {6 * (d + 1)}"
+        )
     floors = {tau: _error_floors(fixture) for tau, fixture in fixtures.items()}
 
     # Each cell's trials split into the fewest contiguous ranges of at most
@@ -359,8 +386,14 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
                 reasons = {reason: count for reason, count in reasons.items() if count}
                 pairs = sum(outcome.pairs for outcome in outcomes)
                 chose_core = sum(outcome.chose_core for outcome in outcomes)
-                entry.update(break_reasons=reasons, pairs=pairs, chose_core=chose_core)
+                rounds = float(np.mean([outcome.rounds for outcome in outcomes]))
+                improper = sum(excess < 0 for excess in excesses)
+                entry.update(
+                    rounds=rounds, improper=improper,
+                    break_reasons=reasons, pairs=pairs, chose_core=chose_core,
+                )
                 line += (
+                    f" rounds={rounds:.6g} improper={improper}/{len(outcomes)}"
                     " breaks="
                     + ",".join(f"{reason}:{count}" for reason, count in reasons.items())
                     + f" pairs={pairs} chose_core={chose_core}/{len(outcomes)}"

@@ -256,9 +256,11 @@ class TestTrainMany:
             gen = RngStream(seed, 1).generator()
             log = []
 
-            def draw(start, size):
-                counts = gen.multinomial(size, flat / flat.sum()).reshape(-1, 2)
-                log.append((start, size, counts))
+            def draw(start, sizes):
+                counts = gen.multinomial(sizes, flat / flat.sum()).reshape(len(sizes), -1, 2)
+                for size, piece in zip(sizes, counts):
+                    log.append((start, size, piece))
+                    start += size
                 return counts
 
             return SamplePieces(30_000, fixture.distribution.domain_size, draw), log

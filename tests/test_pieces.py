@@ -30,14 +30,17 @@ def filter_fixture():
 
 
 def recording_pieces(dist, n, rng):
-    """Drawn pieces that log (start, size, counts) for every piece taken."""
+    """Drawn pieces that log (start, size, counts) for every piece taken,
+    also when a run takes several."""
     gen = rng.generator()
     flat = dist.mass.reshape(-1)
     log = []
 
-    def draw(start, size):
-        counts = gen.multinomial(size, flat / flat.sum()).reshape(-1, 2)
-        log.append((start, size, counts))
+    def draw(start, sizes):
+        counts = gen.multinomial(sizes, flat / flat.sum()).reshape(len(sizes), -1, 2)
+        for size, piece in zip(sizes, counts):
+            log.append((start, size, piece))
+            start += size
         return counts
 
     return SamplePieces(n, dist.domain_size, draw), log

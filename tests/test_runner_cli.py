@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from paclab import BREAK_REASONS, RngStream, SamplePieces, train
+from paclab import BREAK_REASONS, RngStream, SamplePieces, train, true_error
 from paclab.cli import main
 from paclab.config import ConfigError, parse_config_text
 from paclab.fixtures import FAMILIES, two_experts
@@ -252,6 +252,31 @@ class TestUpperSweep:
         with pytest.raises(ConfigError, match="fixture"):
             run(config)
 
+    @pytest.mark.parametrize("n", ["3", "12", "17", "17, 3000"])
+    def test_a_grid_n_too_small_for_the_fixture_fails_cleanly(self, tmp_path, n):
+        """A trial needs (n // 3) // 2 > d, that is n >= 6(d + 1) = 18 at d = 2."""
+        config = sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n=n)
+        with pytest.raises(ConfigError, match=r"n >= 6\(d \+ 1\) = 18"):
+            run(config)
+
+    def test_the_smallest_grid_n_runs(self, tmp_path):
+        config = sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n="18")
+        assert len(run(config).rows) == 2 * 3
+
+    def test_true_errors_match_true_error_per_trial(self, tmp_path):
+        """The batch's stacked true errors equal measures.true_error on each
+        trial's own train result, bit for bit."""
+        config = sweep_config(tmp_path, family="dsubset_adversary", tau="0.05", n="3000", trials=5)
+        result = run(config)
+        fixture = FAMILIES["dsubset_adversary"](tau=0.05)
+        tau_true = result.rows[0].tau_true
+        for trial in range(5):
+            pieces = SamplePieces.drawn(fixture.distribution, 3000, RngStream(config.seed, 1 + trial))
+            trained = train(pieces, fixture.klass, fixture.vc_dim, config.delta, config.constants)
+            learned, erm = result.rows[2 * trial : 2 * trial + 2]
+            assert learned.excess_error == true_error(trained.output_hypothesis(), fixture.distribution) - tau_true
+            assert erm.excess_error == true_error(trained.erm_hypothesis, fixture.distribution) - tau_true
+
 
 class TestLowerBound:
     def _config(self, tmp_path, trials=150):
@@ -324,6 +349,18 @@ chunk_size = 50
 
 
 class TestCli:
+    def test_run_reports_a_grid_n_too_small(self, tmp_path, capsys):
+        path = tmp_path / "small.cfg"
+        path.write_text(
+            "[experiment]\nkind = upper_sweep\nseed = 1\ntrials = 2\n"
+            f"output = {tmp_path / 'out.csv'}\n\n[grid]\nn = 12\ntau = 0.1\n\n"
+            "[fixture]\nfamily = dsubset_adversary\nd = 2\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "grid n = 12 is too small" in err and "n >= 6(d + 1) = 18" in err
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == "paclab 0.1.0"
@@ -483,7 +520,16 @@ class TestSweepSummary:
         assert (entry["break_reasons"], entry["pairs"], entry["chose_core"]) == (
             dict(reasons), pairs, chose_core
         )
+        trace = read_csv(result.trace_path)[2]
+        rounds = len(trace) / 3
+        improper = sum(row.excess_error < 0 for row in learned)
+        assert improper >= 1
+        assert f" rounds={rounds:.6g} improper={improper}/3 breaks=" in learner_line
+        assert (entry["rounds"], entry["improper"]) == (rounds, improper)
+        assert "rounds=" not in erm_line and "improper=" not in erm_line
 
     def test_a_cell_that_exits_at_round_one_says_so(self, tmp_path):
         result = run(sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n="3000"))
         assert result.summary_lines[0].endswith(" breaks=gamma_below_Zt:3 pairs=0 chose_core=3/3")
+        assert " rounds=1 improper=0/3 breaks=" in result.summary_lines[0]
+        assert (result.summary[0]["rounds"], result.summary[0]["improper"]) == (1.0, 0)
