@@ -10,6 +10,14 @@ every trial. A learner is called as learner(table, instance) with the
 CountTable of the game's sample; a proper learner of the game reads only
 the table and instance.negatives.
 
+Games are played a chunk at a time. Per game run only its random draws
+(the truth subset, then one multinomial over the game's mass table) and
+the learner call; the chunk's truths, point masses, counts and learner
+outputs are stacked, and every check (the learner's negative count, the
+overlap with the truth, the closed-form error and the failure premium) runs
+once per chunk as array operations (_check_games). is_failure is the batch
+of one of those same checks.
+
 Also includes the occupancy simulation used to bound how often sparse cells
 fall below their expected counts.
 """
@@ -26,8 +34,8 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     RngStream,
-    SamplePieces,
     _trusted_hypothesis,
+    _trusted_table,
     subset_rank,
     subset_unrank,
 )
@@ -45,6 +53,11 @@ __all__ = [
     "low_count_threshold",
     "balls_low_count_rate",
 ]
+
+_ADVERSARY_CHUNK = 100
+"""Most games checked as one batch: a chunk stacks its games' truths, point
+masses, sample counts and learner outputs, O(chunk x u) memory. The runner
+hands its pool one chunk per task."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,13 @@ class AdversaryInstance:
         return (1.0 - self.skew) * self.negatives / self.domain_size
 
 
+def _point_masses(u: int, d: int, skew: float) -> tuple[float, float]:
+    """The mass of a truth point, (1 - skew)/u, and of every other point,
+    which picks up the shaved mass evenly."""
+    light = (1.0 - skew) / u
+    return light, (1.0 - light * d) / (u - d)
+
+
 def build_distribution(instance: AdversaryInstance) -> DiscreteDistribution:
     """All-positive labels, truth points lightened by the skew.
 
@@ -91,9 +111,7 @@ def build_distribution(instance: AdversaryInstance) -> DiscreteDistribution:
     than hitting one.
     """
     u = instance.domain_size
-    d = instance.negatives
-    light = (1.0 - instance.skew) / u
-    heavy = (1.0 - light * d) / (u - d)
+    light, heavy = _point_masses(u, instance.negatives, instance.skew)
     marginal = np.full(u, heavy)
     marginal[instance.truth_negative_points()] = light
     return DiscreteDistribution.deterministic(marginal, np.ones(u, dtype=np.int8))
@@ -143,6 +161,48 @@ def least_frequent_learner(table: CountTable, instance: AdversaryInstance) -> Hy
     return _trusted_hypothesis(labels)
 
 
+def _check_games(
+    labels: np.ndarray, truths: np.ndarray, marginals: np.ndarray, u: int, d: int, skew: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each game's learner failed, and its error, checking every game.
+
+    labels holds the games' learner outputs as (games, u) -1/+1 rows, truths
+    their sorted truth points as (games, d) rows, and marginals the (games,
+    u) point masses each error is read from. Raises ValueError for the first
+    output that does not label exactly d points negative, and RuntimeError
+    for the first game whose error breaks the closed form or whose failure
+    does not pay the premium.
+    """
+    negative = labels == -1
+    counts = np.count_nonzero(negative, axis=1)
+    bad = np.flatnonzero(counts != d)
+    if bad.size:
+        raise ValueError(
+            f"hypothesis labels {counts[bad[0]]} points negative, expected exactly {d}"
+        )
+    negatives = np.nonzero(negative)[1].reshape(len(labels), d)
+    overlap = np.count_nonzero(np.take_along_axis(negative, truths, axis=1), axis=1)
+    failed = 2 * overlap <= d
+
+    opt_error = (1.0 - skew) * d / u
+    expected = opt_error + (d - overlap) * (skew / (u - d))
+    wrong = np.take_along_axis(marginals, negatives, axis=1).sum(axis=1)
+    broken = np.flatnonzero(np.abs(wrong - expected) > 1e-12)
+    if broken.size:
+        j = broken[0]
+        raise RuntimeError(
+            f"error closed form violated: measured {float(wrong[j])!r}, "
+            f"expected {float(expected[j])!r}"
+        )
+    floor = opt_error + skew * d / (2 * u)
+    cheap = np.flatnonzero(failed & (wrong < floor - 1e-12))
+    if cheap.size:
+        raise RuntimeError(
+            f"failure premium violated: error {float(wrong[cheap[0]])!r} below {floor!r}"
+        )
+    return failed, wrong
+
+
 def is_failure(
     h: Hypothesis, instance: AdversaryInstance, dist: DiscreteDistribution | None = None
 ) -> bool:
@@ -151,35 +211,20 @@ def is_failure(
     Requires h to label exactly the instance's negative count of points
     negative. Cross-checks the closed form for h's error and the failure
     premium against dist, the instance's distribution (built here when not
-    given), raising RuntimeError if either is violated.
+    given), raising RuntimeError if either is violated. The batch of one of
+    the checks every game gets.
     """
-    negatives = np.flatnonzero(h.labels == -1)
-    if negatives.size != instance.negatives:
-        raise ValueError(
-            f"hypothesis labels {negatives.size} points negative, "
-            f"expected exactly {instance.negatives}"
-        )
-    u = instance.domain_size
-    d = instance.negatives
-    truth = instance.truth_negative_points()
-    overlap = np.intersect1d(negatives, truth, assume_unique=True).size
-    failed = 2 * overlap <= d
-
-    heavy_minus_light = instance.skew / (u - d)
-    expected = instance.opt_error + (d - overlap) * heavy_minus_light
     if dist is None:
         dist = build_distribution(instance)
-    wrong = float(dist.mass[negatives, 1].sum())
-    if abs(wrong - expected) > 1e-12:
-        raise RuntimeError(
-            f"error closed form violated: measured {wrong!r}, expected {expected!r}"
-        )
-    if failed and wrong < instance.opt_error + instance.skew * d / (2 * u) - 1e-12:
-        raise RuntimeError(
-            f"failure premium violated: error {wrong!r} below "
-            f"{instance.opt_error + instance.skew * d / (2 * u)!r}"
-        )
-    return failed
+    failed, _ = _check_games(
+        h.labels[None],
+        instance.truth_negative_points()[None],
+        dist.mass[None, :, 1],
+        instance.domain_size,
+        instance.negatives,
+        instance.skew,
+    )
+    return bool(failed[0])
 
 
 @dataclass(frozen=True)
@@ -220,21 +265,50 @@ def run_adversary_trials(
     records whether it failed. A learner of the game reads only the table
     and instance.negatives; test oracles may peek at the truth. Trial j
     gets its own child stream, so results do not depend on execution order.
+    Games are checked a chunk at a time, after every learner of the chunk
+    has been called.
     """
     out = []
-    for j in range(trials):
-        gen = RngStream(rng.seed, rng.stream + 1 + j).generator()
-        truth = _draw_subset(u, d, gen)
-        instance = AdversaryInstance(u, d, skew, subset_rank(u, d, truth))
-        dist = build_distribution(instance)
-        table = SamplePieces.drawn(dist, n, gen).take(n)
-        h = learner(table, instance)
-        failed = is_failure(h, instance, dist)
-        learner_error = float(dist.mass[np.flatnonzero(h.labels == -1), 1].sum())
-        out.append(
-            AdversaryTrial(j, instance.truth_rank, failed, learner_error, instance.opt_error, skew)
-        )
+    for start in range(0, trials, _ADVERSARY_CHUNK):
+        stop = min(start + _ADVERSARY_CHUNK, trials)
+        out.extend(_play_chunk(u, d, n, skew, range(start, stop), rng, learner))
     return out
+
+
+def _play_chunk(
+    u: int, d: int, n: int, skew: float, indices: range, rng: RngStream, learner
+) -> list[AdversaryTrial]:
+    games = len(indices)
+    light, heavy = _point_masses(u, d, skew)
+    truths = np.empty((games, d), dtype=np.int64)
+    marginals = np.full((games, u), heavy)
+    counts = np.empty((games, u, 2), dtype=np.int64)
+    # Per game only its draws, in their order: the truth, then the sample
+    # from the mass table build_distribution makes, normalized as
+    # SamplePieces.drawn normalizes it.
+    mass = np.zeros((u, 2))
+    for k, j in enumerate(indices):
+        gen = RngStream(rng.seed, rng.stream + 1 + j).generator()
+        truths[k] = _draw_subset(u, d, gen)
+        marginals[k, truths[k]] = light
+        mass[:, 1] = marginals[k]
+        flat = mass.reshape(-1)
+        counts[k] = gen.multinomial(n, flat / flat.sum()).reshape(u, 2)
+    counts.setflags(write=False)
+
+    labels = np.empty((games, u), dtype=np.int8)
+    ranks = []
+    for k in range(games):
+        instance = AdversaryInstance(u, d, skew, subset_rank(u, d, truths[k]))
+        labels[k] = learner(_trusted_table(counts[k], n), instance).labels
+        ranks.append(instance.truth_rank)
+
+    failed, errors = _check_games(labels, truths, marginals, u, d, skew)
+    opt_error = (1.0 - skew) * d / u
+    return [
+        AdversaryTrial(j, rank, bool(fail), float(error), opt_error, skew)
+        for j, rank, fail, error in zip(indices, ranks, failed, errors)
+    ]
 
 
 def estimate_failure_probability(

@@ -336,12 +336,15 @@ def subset_rank(u: int, d: int, subset) -> int:
     arr = np.asarray(subset, dtype=np.int64)
     if arr.size != d or (np.diff(arr) <= 0).any() or arr[0] < 0 or arr[-1] >= u:
         raise ValueError("subset must be strictly increasing within range(u)")
+    # The subsets that branch off below element at this position number
+    # sum over skipped s of C(u - s - 1, left - 1), which the hockey-stick
+    # identity telescopes to two binomials.
     rank = 0
     previous = -1
-    for position, element in enumerate(arr):
-        for skipped in range(previous + 1, element):
-            rank += math.comb(u - skipped - 1, d - position - 1)
-        previous = int(element)
+    for position, element in enumerate(arr.tolist()):
+        left = d - position
+        rank += math.comb(u - previous - 1, left) - math.comb(u - element, left)
+        previous = element
     return rank
 
 
@@ -551,9 +554,9 @@ class SamplePieces:
     the order the pieces are taken.
     """
 
-    __slots__ = ("domain_size", "_draw", "_cursor", "_stop", "_runs")
+    __slots__ = ("domain_size", "_draw", "_cursor", "_stop")
 
-    def __init__(self, size: int, domain_size: int, draw, start: int = 0):
+    def __init__(self, size: int, domain_size: int, draw):
         """draw(start, sizes) must return the stacked int64 (len(sizes),
         domain_size, 2) counts of the consecutive pieces of those sizes from
         position start on. It is called once per run, with a nonempty list."""
@@ -561,9 +564,8 @@ class SamplePieces:
             raise ValueError("size must be nonnegative")
         self.domain_size = int(domain_size)
         self._draw = draw
-        self._cursor = start
-        self._stop = start + size
-        self._runs: list[np.ndarray] = []
+        self._cursor = 0
+        self._stop = size
 
     @classmethod
     def of(cls, data) -> "SamplePieces":
@@ -628,27 +630,7 @@ class SamplePieces:
         counts = self._draw(self._cursor, sizes)
         counts.setflags(write=False)
         self._cursor += total
-        self._runs.append(counts)
         return [_trusted_table(piece, size) for piece, size in zip(counts, sizes)]
-
-    def split(self, size: int) -> "SamplePieces":
-        """The next size samples as pieces of their own.
-
-        The split-off pieces share this sample's source, so with drawn
-        pieces they must be taken before this sample's next piece.
-        """
-        if not 0 <= size <= len(self):
-            raise ValueError(f"cannot split {size} of {len(self)} remaining samples")
-        child = SamplePieces(size, self.domain_size, self._draw, self._cursor)
-        self._cursor += size
-        return child
-
-    def taken(self) -> CountTable:
-        """The table of every piece taken so far."""
-        taken = np.zeros((self.domain_size, 2), dtype=np.int64)
-        for counts in self._runs:
-            taken += counts.sum(axis=0)
-        return _trusted_table(taken)
 
 
 def vc_dimension_bruteforce(klass: HypothesisClass, max_domain: int = 24) -> int:

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
+    _ADVERSARY_CHUNK,
     choose_parameters,
     run_adversary_trials,
     skew_for_domain,
@@ -98,8 +99,6 @@ ADVERSARY_COLUMNS = (
     "alpha",
 )
 IDENTITY_COLUMNS = ("check", "chunk", "instances", "max_abs_deviation", "failures")
-
-_ADVERSARY_CHUNK = 100
 
 _SWEEP_BATCH = 16
 """Most trials of one cell that a sweep trains as one batch, so a batch's

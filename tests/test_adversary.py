@@ -11,6 +11,7 @@ from paclab import (
     CountTable,
     Hypothesis,
     RngStream,
+    SamplePieces,
     balls_low_count_rate,
     build_distribution,
     choose_parameters,
@@ -20,10 +21,12 @@ from paclab import (
     low_count_threshold,
     run_adversary_trials,
     skew_for_domain,
+    subset_rank,
     subset_unrank,
     true_error,
 )
 from paclab import adversary
+from paclab.adversary import AdversaryTrial
 
 
 def truth_oracle_learner(table, instance):
@@ -215,17 +218,97 @@ class TestIsFailure:
             is_failure(instance.truth_hypothesis(), instance, other)
 
 
+def play_one_game(u, d, n, skew, rng, j, learner):
+    """Game j written out the per-game way: the instance's distribution and
+    its drawn pieces, the learner, then is_failure and the error read off
+    the distribution's mass table."""
+    gen = RngStream(rng.seed, rng.stream + 1 + j).generator()
+    truth = adversary._draw_subset(u, d, gen)
+    instance = AdversaryInstance(u, d, skew, subset_rank(u, d, truth))
+    dist = build_distribution(instance)
+    table = SamplePieces.drawn(dist, n, gen).take(n)
+    h = learner(table, instance)
+    failed = is_failure(h, instance, dist)
+    error = float(dist.mass[np.flatnonzero(h.labels == -1), 1].sum())
+    return AdversaryTrial(j, instance.truth_rank, failed, error, instance.opt_error, skew), table
+
+
+def recording(learner):
+    """The learner, keeping every table it is handed."""
+    tables = []
+
+    def wrapped(table, instance):
+        tables.append(table)
+        return learner(table, instance)
+
+    return wrapped, tables
+
+
+def off_by_one_learner(delta, game):
+    """least_frequent_learner, except that on its game-th call it labels
+    d + delta points negative."""
+    calls = []
+
+    def learner(table, instance):
+        calls.append(None)
+        if len(calls) - 1 != game:
+            return least_frequent_learner(table, instance)
+        labels = np.ones(instance.domain_size, dtype=np.int8)
+        labels[: instance.negatives + delta] = -1
+        return Hypothesis(labels)
+
+    return learner
+
+
 class TestRunAdversaryTrials:
-    def test_one_distribution_per_game(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize(
+        "u, d, n, skew",
+        [(20, 2, 200, 0.05), (23, 3, 2000, 0.0123), (40, 4, 10**6, 0.01), (60, 5, 5000, 0.002),
+         (11, 5, 10**6, 0.3)],
+    )
+    @pytest.mark.parametrize(
+        "learner", [least_frequent_learner, truth_oracle_learner, fixed_prefix_learner],
+        ids=["least_frequent", "truth_oracle", "fixed_prefix"],
+    )
+    def test_chunks_equal_games_played_one_by_one(self, u, d, n, skew, learner):
+        """105 games span a full chunk and part of the next."""
+        rng = RngStream(21, 3)
+        batched_learner, batched_tables = recording(learner)
+        batched = run_adversary_trials(u, d, n, skew, 105, rng, batched_learner)
+        assert len(batched) == 105
+        for j, trial in enumerate(batched):
+            want, table = play_one_game(u, d, n, skew, rng, j, learner)
+            assert trial == want
+            assert type(trial.failed) is bool and type(trial.learner_error) is float
+            assert len(batched_tables[j]) == n
+            assert np.array_equal(batched_tables[j].counts, table.counts)
 
-        def counting_build(instance):
-            built.append(instance)
-            return build_distribution(instance)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("game", [0, 57, 104])
+    def test_a_wrong_negative_count_anywhere_in_a_chunk_is_rejected(self, delta, game):
+        learner = off_by_one_learner(delta, game)
+        with pytest.raises(ValueError, match=f"labels {3 + delta} points negative, expected exactly 3"):
+            run_adversary_trials(23, 3, 2000, 0.0123, 105, RngStream(21, 3), learner)
 
-        monkeypatch.setattr(adversary, "build_distribution", counting_build)
-        run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))
-        assert len(built) == 8
+    def test_every_game_of_a_batch_is_cross_checked(self):
+        """Every game of a batch gets is_failure's answer, and the closed
+        form catches one game in the middle whose error is read from the
+        wrong masses."""
+        u, d, skew = 10, 2, 0.2
+        instances = [AdversaryInstance(u, d, skew, rank) for rank in range(math.comb(u, d))]
+        dists = [build_distribution(instance) for instance in instances]
+        truths = np.array([instance.truth_negative_points() for instance in instances])
+        marginals = np.array([dist.mass[:, 1] for dist in dists])
+        labels = np.ones((len(instances), u), dtype=np.int8)
+        labels[:, :d] = -1
+        failed, errors = adversary._check_games(labels, truths, marginals, u, d, skew)
+        h = Hypothesis(labels[0])
+        for k, (instance, dist) in enumerate(zip(instances, dists)):
+            assert failed[k] == is_failure(h, instance)
+            assert errors[k] == float(dist.mass[:d, 1].sum())
+        marginals[30] = marginals[0]
+        with pytest.raises(RuntimeError, match="closed form"):
+            adversary._check_games(labels, truths, marginals, u, d, skew)
 
     def test_deterministic_per_stream(self):
         a = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))

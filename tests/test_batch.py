@@ -60,15 +60,14 @@ def reference_train(data, klass, d, delta, consts=DEFAULT_CONSTANTS):
         estimate = 1.0 / (2 * third)
     elif estimate == 1.0:
         estimate = 1.0 - 1.0 / (2 * third)
-    part_fit = pieces.split(third)
-    m = len(part_fit)
+    m = third
     half = m // 2
     schedule = make_schedule(estimate, half, d, delta, consts)
     rounds = schedule.rounds
     base = half // rounds
-    blocks = [part_fit.take(base) for _ in range(rounds - 1)]
-    blocks.append(part_fit.take(half - (rounds - 1) * base))
-    holdout = part_fit.take(m - half)
+    sizes = [base] * (rounds - 1) + [half - (rounds - 1) * base, m - half]
+    *blocks, holdout = fit_pieces = pieces.take_many(sizes)
+    part_fit = CountTable(sum(table.counts for table in fit_pieces))
 
     records, selected, reason = [], [], "completed"
     for step, block in enumerate(blocks, start=1):
@@ -97,7 +96,7 @@ def reference_train(data, klass, d, delta, consts=DEFAULT_CONSTANTS):
     mask = measures.agreement_points(pairs, klass.domain_size)
     sides = [holdout.restrict(mask), holdout.restrict(~mask)]
     fits = [reference_erm(klass, side)[0] if len(side) else None for side in sides]
-    erm_index, _ = reference_erm(klass, part_fit.taken())
+    erm_index, _ = reference_erm(klass, part_fit)
     part_validate = pieces.take(len(pieces))
     labels = [0 if fit is None else fit for fit in fits]
     routed = np.where(mask, klass.matrix[labels[0]], klass.matrix[labels[1]])

@@ -155,6 +155,12 @@ class TestSubsetRanking:
         assert len(set(seen)) == total, "every rank maps to a distinct subset"
         assert seen == sorted(seen), "ranks follow lexicographic order"
 
+    @pytest.mark.parametrize("u, d", [(1, 1), (6, 1), (7, 2), (9, 3), (10, 4), (11, 5), (12, 5)])
+    def test_rank_is_the_combinations_index(self, u, d):
+        for index, subset in enumerate(itertools.combinations(range(u), d)):
+            assert subset_rank(u, d, subset) == index
+        assert index == math.comb(u, d) - 1
+
     def test_extremes(self):
         np.testing.assert_array_equal(subset_unrank(10, 4, 0), [0, 1, 2, 3])
         last = math.comb(10, 4) - 1
@@ -163,8 +169,9 @@ class TestSubsetRanking:
     def test_validation(self):
         with pytest.raises(ValueError):
             subset_unrank(6, 3, math.comb(6, 3))
-        with pytest.raises(ValueError):
-            subset_rank(6, 3, np.array([2, 1, 0]))
+        for bad in ([2, 1, 0], [0, 1, 1], [0, 1], [0, 1, 2, 3], [-1, 1, 2], [0, 1, 6]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                subset_rank(6, 3, np.array(bad))
 
 
 class TestDiscreteDistribution:

@@ -63,7 +63,6 @@ class TestRunsOfPieces:
                 assert np.array_equal(x.counts, y.counts)
                 assert len(x) == len(y) == size == int(x.counts.sum())
             assert len(single) == len(batched) == 5
-            assert np.array_equal(single.taken().counts, batched.taken().counts)
             # The generators end in the same state.
             assert np.array_equal(one.integers(0, 2**62, 4), many.integers(0, 2**62, 4))
 
@@ -89,18 +88,6 @@ class TestRunsOfPieces:
             assert len(table) == size
             start += size
         assert len(pieces) == 1000 - sum(sizes)
-
-    def test_a_split_takes_its_run_from_the_shared_source(self):
-        data = sample_dataset(fixture().distribution, 1000, RngStream(4, 1))
-        pieces = SamplePieces.of(data)
-        pieces.take(100)
-        child = pieces.split(500)
-        a, b = child.take_many([200, 300])
-        rest = pieces.take(400)
-        expect = lambda low, high: core.CountTable.of(data.take(slice(low, high))).counts
-        assert np.array_equal(a.counts, expect(100, 300))
-        assert np.array_equal(b.counts, expect(300, 600))
-        assert np.array_equal(rest.counts, expect(600, 1000))
 
     def test_a_source_is_called_once_per_run(self):
         log = []

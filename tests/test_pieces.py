@@ -113,25 +113,21 @@ class TestSamplePieces:
         data = sample_dataset(filter_fixture().distribution, 1000, RngStream(3, 1))
         pieces = SamplePieces.of(data)
         first = pieces.take(300)
-        middle = pieces.split(400)
-        assert len(pieces) == 300 and len(middle) == 400
-        a, b = middle.take(150), middle.take(250)
+        assert len(pieces) == 700
+        a, b = pieces.take(150), pieces.take(250)
         last = pieces.take(300)
         expect = lambda low, high: CountTable.of(data.take(slice(low, high))).counts
         assert np.array_equal(first.counts, expect(0, 300))
         assert np.array_equal(a.counts, expect(300, 450))
         assert np.array_equal(b.counts, expect(450, 700))
         assert np.array_equal(last.counts, expect(700, 1000))
-        assert np.array_equal(middle.taken().counts, expect(300, 700))
-        assert len(pieces) == 0 and len(middle) == 0
+        assert len(pieces) == 0
 
     def test_taking_past_the_end_is_rejected(self):
         pieces = SamplePieces.drawn(filter_fixture().distribution, 10, RngStream(1, 1))
         pieces.take(4)
         with pytest.raises(ValueError, match="remaining"):
             pieces.take(7)
-        with pytest.raises(ValueError, match="remaining"):
-            pieces.split(7)
         with pytest.raises(ValueError, match="at least one"):
             SamplePieces.drawn(filter_fixture().distribution, 0, RngStream(1, 1))
 

@@ -412,7 +412,9 @@ def data_digest(path):
 
 class TestPinnedRows:
     """Data-row digests of small runs of each kind, recorded when the sweep
-    trained one trial at a time and the CSV was written row by row."""
+    trained one trial at a time, each adversary game was checked on its
+    own, and the CSV was written row by row. The second lower-bound run has
+    d = 3, so a game's error sums more than two masses."""
 
     SWEEP = """\
 [experiment]
@@ -464,6 +466,20 @@ d = 2
 n = 400
 cap = 576
 """
+    LOWER_BOUND_D3 = """\
+[experiment]
+kind = lower_bound
+seed = 4246
+trials = 150
+output = {out}/lb3.csv
+
+[adversary]
+u = 23
+d = 3
+n = 2000
+cap = 576
+skew = 0.0123
+"""
     IDENTITIES = """\
 [experiment]
 kind = identities
@@ -487,9 +503,10 @@ chunk_size = 25
                 "456564ee187a94c1922eb0a95c35e6cc19a8435226d101c325203951ee8c3d37",
             )),
             (LOWER_BOUND, ("c155a8edd5f827f38eac6f345b8cf5249e13f1821c2f29d0d66d61f666165d8f",)),
+            (LOWER_BOUND_D3, ("d215befdf7edff2a0893ae5cf834ce885f5c2da70b559f296b91a9b0127fb6f0",)),
             (IDENTITIES, ("49b2e00905e2ae21ad247f70a654e1c08ef1acfe67bc52c9db665dcf97aa4c63",)),
         ],
-        ids=["upper_sweep", "filter_sweep", "lower_bound", "identities"],
+        ids=["upper_sweep", "filter_sweep", "lower_bound", "lower_bound_d3", "identities"],
     )
     def test_data_rows_are_unchanged(self, tmp_path, text, digests):
         result = run(parse_config_text(text.format(out=tmp_path)))
