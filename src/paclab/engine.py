@@ -24,6 +24,7 @@ __all__ = [
     "erm_many",
     "near_optimal_set",
     "pair_disagreements",
+    "worst_deviating_pair",
     "find_disagreeing_pair",
     "make_schedule",
     "erm_reference_rate",
@@ -76,6 +77,18 @@ def _validate_bound_inputs(n: float, d: int, delta: float) -> None:
         raise ValueError("delta must lie strictly between 0 and 1")
 
 
+def _additive_term(n, d, delta) -> float:
+    """The term of the deviation allowance and of the reference rate that
+    does not depend on the noise level."""
+    return (d * _floored_log(n / d) + math.log(1.0 / delta)) / n
+
+
+def _deviation_floor(n, d, delta, consts: TheoryConstants = DEFAULT_CONSTANTS) -> float:
+    """deviation_bound at beta = 0: the same float, and no larger than the
+    bound at any beta, since rounding keeps root + additive >= additive."""
+    return consts.dev_scale * _additive_term(n, d, delta)
+
+
 def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTANTS):
     """Uniform deviation allowance at noise level beta.
 
@@ -88,7 +101,7 @@ def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTAN
     if (beta_arr < 0).any() or (beta_arr > 1).any():
         raise ValueError("beta must lie in [0, 1]")
     log_delta = math.log(1.0 / delta)
-    additive = (d * _floored_log(n / d) + log_delta) / n
+    additive = _additive_term(n, d, delta)
     with np.errstate(divide="ignore"):
         level_log = np.maximum(np.log(np.where(beta_arr > 0, 1.0 / beta_arr, 1.0)), 1.0)
     root = np.sqrt(beta_arr * (d * level_log + log_delta) / n)
@@ -129,24 +142,42 @@ _PAIR_CHUNK_CELLS = 8_192
 """Pairs per chunk of the pair kernel: bounds its working memory by cells,
 whatever the number of rows."""
 
+_SCAN_CHUNK_CELLS = 65_536
+"""Pairs per chunk of the worst-pair scan, which holds one float per cell.
+On filter-regime rounds (u = 30, up to about 2000 rows) 2^16 cells ran
+faster than 2^12 to 2^15 or 2^17 and 2^18."""
+
+_SCAN_SLACK = 1e-9
+"""How far a pair's bound may fall short of its exact deviation before the
+scan could prune it wrongly; the bound's rounding error is about 1e-14."""
+
+
+def _pair_chunks(k: int, cells: int):
+    """Consecutive row chunks [a0, a1) of k rows, each holding about cells
+    pairs of one of its rows with a later row."""
+    a0 = 0
+    while a0 < k - 1:
+        a1 = min(k - 1, a0 + max(1, cells // (k - a0 - 1)))
+        yield a0, a1
+        a0 = a1
+
 
 def pair_disagreements(rows: np.ndarray, weights):
     """Weighted disagreement of every row of a label matrix with every later row.
 
     rows is a (k, u) label matrix and weights a (u,) vector of per-point
-    weights (sample counts, point masses), or a (w, u) stack of them.
-    Yields (a0, block, later) for consecutive row chunks [a0, a1):
-    block[..., i, j] is the total weight of the points where rows a0 + i and
-    a0 + 1 + j differ, and later[i, j] (j >= i) marks the cells that hold a
-    pair a < b. Reading the later cells chunk by chunk, row by row, visits
-    the pairs in lexicographic order.
+    weights (sample counts, say). Yields (a0, block, later) for consecutive
+    row chunks [a0, a1): block[i, j] is the total weight of the points where
+    rows a0 + i and a0 + 1 + j differ, and later[i, j] (j >= i) marks the
+    cells that hold a pair a < b. Reading the later cells chunk by chunk,
+    row by row, visits the pairs in lexicographic order.
 
     block = P[a0:a1]·diag(w)·Q[a0+1:]ᵀ + Q[a0:a1]·diag(w)·P[a0+1:]ᵀ with
     P = (rows == 1) and Q = 1 - P, taken as one product whose inner index
     interleaves the two terms point by point. Every term is a weight or
     zero, so integer weights give exact integers. A chunk holds about
-    _PAIR_CHUNK_CELLS pairs, so memory is O(k·u) plus one chunk per weight
-    vector, never k x k.
+    _PAIR_CHUNK_CELLS pairs, so memory is O(k·u) plus one chunk, never
+    k x k.
     """
     positive = rows == 1
     k, u = positive.shape
@@ -155,15 +186,80 @@ def pair_disagreements(rows: np.ndarray, weights):
     right[:, 1::2] = positive
     # left = (1 - right)·diag(w) holds P·w and Q·w interleaved; it is built
     # per chunk, so only right spans all k rows.
-    w = np.repeat(np.asarray(weights, dtype=np.float64), 2, axis=-1)[..., None, :]
-    a0 = 0
-    while a0 < k - 1:
-        width = k - a0 - 1
-        a1 = min(k - 1, a0 + max(1, _PAIR_CHUNK_CELLS // width))
-        block = ((1.0 - right[a0:a1]) * w) @ right[a0 + 1 :].T
-        later = np.arange(width) >= np.arange(a1 - a0)[:, None]
-        yield a0, block, later
-        a0 = a1
+    w = np.repeat(np.asarray(weights, dtype=np.float64), 2)
+    for a0, a1 in _pair_chunks(k, _PAIR_CHUNK_CELLS):
+        later = np.arange(k - a0 - 1) >= np.arange(a1 - a0)[:, None]
+        yield a0, ((1.0 - right[a0:a1]) * w) @ right[a0 + 1 :].T, later
+
+
+def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: float):
+    """The pair of rows whose empirical disagreement rate deviates most from
+    its true one in excess of its allowance.
+
+    rows is a (k, u) label matrix with k >= 2, counts the (u,) integer point
+    counts of a sample of m >= 1 points and marginal the (u,) point masses.
+    A pair (a, b) that differs on the points D has rate c/m, with c the
+    count on D, and mass the sum of the marginal over D, taken point by
+    point in order. Its deviation is |c/m - mass| and its excess that minus
+    allowance(min(c/m, mass)); allowance maps an array of levels to an
+    array of allowances, each at least floor. Returns (a, b, deviation,
+    allowance, excess) for the pair of largest excess, the lexicographically
+    first among equals.
+
+    Bound, then verify. With δ = counts/m - marginal, P = (rows == 1) and
+    g = P·δ, a pair's deviation is |g_a + g_b - 2·(P_a∘δ)·P_b| up to
+    rounding: one (u + 2)-wide product bounds a chunk of about
+    _SCAN_CHUNK_CELLS pairs. A pair can beat the best excess e found so far
+    only if its deviation exceeds e + floor, so only pairs whose bound
+    exceeds that, less _SCAN_SLACK, are scored exactly; each chunk first
+    scores its largest-bound pair to raise e. Memory is O(k·u) plus one
+    chunk, never k x k.
+    """
+    positive = rows == 1
+    k, u = positive.shape
+    counts = np.asarray(counts)
+    m = int(counts.sum())
+    # left·rightᵀ = -2·(P∘δ)·Pᵀ + g·1ᵀ + 1·gᵀ, the signed deviation.
+    left = np.empty((k, u + 2))
+    right = np.empty((k, u + 2))
+    np.multiply(positive, counts / m - marginal, out=left[:, :u])
+    right[:, :u] = positive
+    right[:, u] = left[:, u + 1] = 1.0
+    right[:, u + 1] = left[:, u] = left[:, :u].sum(axis=1)
+    left[:, :u] *= -2.0
+
+    def score(a, b):
+        differ = positive[a] != positive[b]
+        rates = (differ @ counts) / m
+        masses = np.cumsum(np.where(differ, marginal, 0.0), axis=1)[:, -1]
+        deviations = np.abs(rates - masses)
+        allowances = allowance(np.minimum(rates, masses))
+        return deviations - allowances, deviations, allowances
+
+    best = None
+    best_excess = -math.inf
+    for a0, a1 in _pair_chunks(k, _SCAN_CHUNK_CELLS):
+        # bound[i, j] bounds the pair (a0 + i, a0 + 1 + j); the cells j < i
+        # pair a row with itself or an earlier one.
+        bound = left[a0:a1] @ right[a0 + 1 :].T
+        np.abs(bound, out=bound)
+        bound[:, : a1 - a0][np.tri(a1 - a0, k=-1, dtype=bool)] = -math.inf
+        seed = int(np.argmax(bound))
+        if bound.flat[seed] <= best_excess + floor - _SCAN_SLACK:
+            continue
+        i, j = divmod(seed, bound.shape[1])
+        bar = max(best_excess, float(score([a0 + i], [a0 + 1 + j])[0][0]))
+        # The seed survives: its bound exceeds best_excess + floor - slack
+        # and, being within rounding of its deviation, its own excess +
+        # floor - slack too.
+        i, j = np.divmod(np.flatnonzero(bound > bar + floor - _SCAN_SLACK), bound.shape[1])
+        excess, deviations, allowances = score(a0 + i, a0 + 1 + j)
+        top = int(np.argmax(excess))
+        if excess[top] > best_excess:
+            best_excess = float(excess[top])
+            best = (int(a0 + i[top]), int(a0 + 1 + j[top]),
+                    float(deviations[top]), float(allowances[top]), best_excess)
+    return best
 
 
 def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
@@ -227,6 +323,6 @@ def erm_reference_rate(n, d, delta, tau) -> float:
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
     log_delta = math.log(1.0 / delta)
-    additive = (d * _floored_log(n / d) + log_delta) / n
+    additive = _additive_term(n, d, delta)
     root = 0.0 if tau == 0 else math.sqrt(tau * (d * _floored_log(1.0 / tau) + log_delta) / n)
     return tau + root + additive

@@ -54,12 +54,13 @@ from .engine import (
     DEFAULT_CONSTANTS,
     Schedule,
     TheoryConstants,
+    _deviation_floor,
     deviation_bound,
     erm_many,
     find_disagreeing_pair,
     make_schedule,
     near_optimal_set,
-    pair_disagreements,
+    worst_deviating_pair,
 )
 
 __all__ = [
@@ -515,13 +516,21 @@ def diagnose_failure_events(
 
     The worst witness is the one with the largest deviation in excess of its
     allowance; among equal excesses the lowest candidate position wins, and
-    for pairs the lexicographically first (a, b) in candidate order. Pairs
-    are scored in chunks by engine.pair_disagreements, so no candidates x
+    for pairs the lexicographically first (a, b) in candidate order. The
+    worst pair comes from engine.worst_deviating_pair, which bounds every
+    pair's deviation with one product per chunk and scores exactly only the
+    pairs whose bound could still beat the best excess found, given that no
+    allowance falls below the allowance at level 0. No candidates x
     candidates array is formed.
     """
     consts = consts if consts is not None else trace.consts
     matrix = enumerate_class(klass).matrix
     effective_n = trace.filter_half / trace.schedule.rounds
+
+    def allowance(levels):
+        return deviation_bound(effective_n, trace.d, trace.delta, levels, consts) / 32.0
+
+    floor = _deviation_floor(effective_n, trace.d, trace.delta, consts) / 32.0
     out = []
     for position, record in enumerate(trace.records):
         if record.candidates is None:
@@ -538,9 +547,7 @@ def diagnose_failure_events(
         empirical = kept.mistakes(klass, cand) / m
         truth = measures.row_errors(klass, cond, cand)
         deviations = np.abs(empirical - truth)
-        allowances = deviation_bound(
-            effective_n, trace.d, trace.delta, np.minimum(empirical, truth), consts
-        ) / 32.0
+        allowances = allowance(np.minimum(empirical, truth))
         excess = deviations - allowances
         worst_h = int(np.argmax(excess))
         hypothesis_event = bool(excess[worst_h] > 0)
@@ -550,26 +557,11 @@ def diagnose_failure_events(
         worst_pair_deviation = 0.0
         worst_pair_allowance = 0.0
         if cand.size >= 2:
-            weights = np.stack([kept.point_counts(), cond.point_marginal()])
-            best_excess = -math.inf
-            for a0, (counts, true_rates), later in pair_disagreements(cand_matrix, weights):
-                empirical_rates = counts / m
-                pair_devs = np.abs(empirical_rates - true_rates)
-                pair_allow = deviation_bound(
-                    effective_n,
-                    trace.d,
-                    trace.delta,
-                    np.minimum(empirical_rates, true_rates),
-                    consts,
-                ) / 32.0
-                pair_excess = np.where(later, pair_devs - pair_allow, -math.inf)
-                i, j = np.unravel_index(np.argmax(pair_excess), pair_excess.shape)
-                if pair_excess[i, j] > best_excess:
-                    best_excess = float(pair_excess[i, j])
-                    worst_pair = (int(cand[a0 + i]), int(cand[a0 + 1 + j]))
-                    worst_pair_deviation = float(pair_devs[i, j])
-                    worst_pair_allowance = float(pair_allow[i, j])
-            pair_event = best_excess > 0
+            a, b, worst_pair_deviation, worst_pair_allowance, pair_excess = worst_deviating_pair(
+                cand_matrix, kept.point_counts(), cond.point_marginal(), allowance, floor
+            )
+            worst_pair = (int(cand[a]), int(cand[b]))
+            pair_event = pair_excess > 0
 
         out.append(
             IterationEvents(
@@ -623,10 +615,12 @@ def exact_progress_report(
     decay bound and the mass bound are evaluated and reported per record,
     never asserted. If a pair's agreement region carries zero true mass the
     q = 0 form of the decomposition (error sum equals one) is checked and
-    the report truncates, since later conditionals are undefined.
+    the report truncates, since later conditionals are undefined. Each
+    conditional's optimum is computed once: the optimum a step checks
+    against its pair's average is the next record's.
     """
     pair_total = trace.pair_count
-    base_error = float(np.min(measures.row_errors(klass, dist)))
+    best = base_error = float(np.min(measures.row_errors(klass, dist)))
     if base_error > 0:
         decay_factor = 1.0 - 1.0 / (32.0 * max(math.log(1.0 / base_error), 1.0))
     else:
@@ -636,7 +630,6 @@ def exact_progress_report(
     records = []
     current = dist
     for step in range(1, pair_total + 2):
-        best = float(np.min(measures.row_errors(klass, current)))
         active = min(step, pair_total)
         if active == 0:
             disagreement_mass = 0.0
@@ -689,5 +682,5 @@ def exact_progress_report(
             raise RuntimeError(
                 f"step {step}: conditional optimum {next_best!r} exceeds the pair average"
             )
-        current = nxt
+        current, best = nxt, next_best
     return ProgressReport(base_error, tuple(records))

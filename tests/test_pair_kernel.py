@@ -1,4 +1,5 @@
-"""The chunked pair kernel against the per-row loops it replaced.
+"""The chunked pair kernel and the diagnostics' worst-pair scan against the
+per-row loops they replaced.
 
 The two reference functions below are the loops the pair search and the
 deviation diagnostics ran before the kernel, kept verbatim as oracles.
@@ -8,6 +9,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from paclab import (
     DEFAULT_CONSTANTS,
@@ -192,9 +194,38 @@ def tied_instance(gen, max_rows=16, duplicates=True):
     return klass, DiscreteDistribution(mass), trace
 
 
-def chunk_starts(k):
-    rows = np.ones((k, 1), dtype=np.int8)
-    return [a0 for a0, _, _ in engine.pair_disagreements(rows, np.ones(1))]
+def chunk_starts(k, cells):
+    return [a0 for a0, _ in engine._pair_chunks(k, cells)]
+
+
+def diagnostics_allowance(trace):
+    """The allowance the diagnostics give a pair of a trace's rounds, and
+    its floor."""
+    n = trace.filter_half / trace.schedule.rounds
+
+    def allowance(levels):
+        return deviation_bound(n, trace.d, trace.delta, levels, trace.consts) / 32.0
+
+    return allowance, engine._deviation_floor(n, trace.d, trace.delta, trace.consts) / 32.0
+
+
+def ordered_worst_pair(rows, counts, marginal, allowance):
+    """Every pair's exact excess, row by row in lexicographic order, with
+    masses summed point by point: the largest excess, the first pair
+    attaining it, and how many pairs attain it."""
+    m = counts.sum()
+    best, first, ties = -math.inf, None, 0
+    for a in range(len(rows) - 1):
+        differ = rows[a + 1 :] != rows[a]
+        rates = (differ @ counts) / m
+        masses = np.cumsum(np.where(differ, marginal, 0.0), axis=1)[:, -1]
+        excess = np.abs(rates - masses) - allowance(np.minimum(rates, masses))
+        top = float(excess.max())
+        if top > best:
+            best, ties = top, 0
+            first = (a, a + 1 + int(np.argmax(excess)))
+        ties += int(np.count_nonzero(excess == best))
+    return best, first, ties
 
 
 class TestKernel:
@@ -209,7 +240,8 @@ class TestKernel:
                 weights = gen.integers(0, 10**9, size=u)
                 seen = []
                 for a0, block, later in engine.pair_disagreements(rows, weights):
-                    assert block.shape == later.shape
+                    assert block.shape == later.shape == (block.shape[0], k - a0 - 1)
+                    assert block.shape[0] == 1 or block.size <= budget
                     for i, j in zip(*np.nonzero(later)):
                         a, b = a0 + i, a0 + 1 + j
                         assert block[i, j] == int((rows[a] != rows[b]) @ weights)
@@ -218,12 +250,14 @@ class TestKernel:
 
 
 class TestDiagnosticsMatchTheLoop:
-    def test_filter_diagnose_regime_traces(self):
+    @pytest.mark.parametrize("seed", [823, 4242])
+    def test_filter_diagnose_regime_traces(self, seed):
+        """Seed 4242's trials 0 and 7 have exactly tied worst pairs."""
         fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
         consts = TheoryConstants(exit_scale=1e-3)
         pairs_scored = 0
         for trial in range(20):
-            data = sample_dataset(fixture.distribution, 30_000, RngStream(823, 1 + trial))
+            data = sample_dataset(fixture.distribution, 30_000, RngStream(seed, 1 + trial))
             result = train(data, fixture.klass, fixture.vc_dim, 0.1, consts)
             got = diagnose_failure_events(result.trace, fixture.klass, fixture.distribution)
             expected = reference_diagnose_failure_events(
@@ -244,16 +278,109 @@ class TestDiagnosticsMatchTheLoop:
             got = diagnose_failure_events(trace, klass, dist)
             assert_same_events(got, reference_diagnose_failure_events(trace, klass, dist))
 
+    def test_a_round_of_one_sample(self):
+        gen = RngStream(37, 1).generator()
+        fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
+        cases = [tied_instance(gen) for _ in range(50)]
+        cases.append((fixture.klass, fixture.distribution, None))
+        for klass, dist, trace in cases:
+            counts = np.zeros((klass.domain_size, 2), dtype=np.int64)
+            counts[int(gen.integers(klass.domain_size)), int(gen.integers(2))] = 1
+            if trace is None:
+                candidates = np.sort(gen.choice(len(klass), size=300, replace=False))
+            else:
+                candidates = trace.records[0].candidates
+            trace = one_round_trace(CountTable(counts), candidates, 900, 3)
+            got = diagnose_failure_events(trace, klass, dist)
+            assert got.iterations[0].sample_size == 1 and got.iterations[0].tiny_sample
+            assert_same_events(got, reference_diagnose_failure_events(trace, klass, dist))
+
+
+class TestScanSoundness:
+    """No pair the scan prunes has a larger exact excess than its winner."""
+
+    @staticmethod
+    def _check(rows, counts, marginal, allowance, floor):
+        scored = []
+
+        def counted(levels):
+            scored.append(levels.size)
+            return allowance(levels)
+
+        a, b, deviation, allowed, excess = engine.worst_deviating_pair(
+            rows, counts, marginal, counted, floor
+        )
+        best, first, ties = ordered_worst_pair(rows, counts, marginal, allowance)
+        assert (a, b) == first
+        assert excess == best
+        differ = rows[a] != rows[b]
+        assert deviation - allowed == excess
+        assert deviation == abs(
+            int(differ @ counts) / counts.sum() - np.cumsum(np.where(differ, marginal, 0.0))[-1]
+        )
+        return sum(scored), ties
+
+    def test_tied_instances(self):
+        gen = RngStream(38, 1).generator()
+        tied = 0
+        for flat in (False, True):
+            for _ in range(150):
+                klass, dist, trace = tied_instance(gen, max_rows=40)
+                allowance, floor = diagnostics_allowance(trace)
+                if flat:
+                    # Every allowance at the floor: the bar is as tight as it gets.
+                    allowance = lambda levels, floor=floor: np.full(levels.shape, floor)
+                rows = enumerate_class(klass).matrix[trace.records[0].candidates]
+                kept = trace.records[0].kept
+                _, ties = self._check(rows, kept.point_counts(), dist.point_marginal(),
+                                      allowance, floor)
+                tied += ties > 1
+        assert tied > 0
+
+    @pytest.mark.parametrize("trial", [0, 7])
+    def test_tied_filter_rounds(self, trial):
+        """Seed 4242's first rounds of trials 0 and 7 tie exactly between
+        several worst pairs."""
+        fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
+        data = sample_dataset(fixture.distribution, 30_000, RngStream(4242, 1 + trial))
+        consts = TheoryConstants(exit_scale=1e-3)
+        trace = train(data, fixture.klass, fixture.vc_dim, 0.1, consts).trace
+        record = trace.records[0]
+        allowance, floor = diagnostics_allowance(trace)
+        rows = enumerate_class(fixture.klass).matrix[record.candidates]
+        _, ties = self._check(rows, record.kept.point_counts(),
+                              fixture.distribution.point_marginal(), allowance, floor)
+        assert ties > 1
+
+    @pytest.mark.parametrize("n, conditioned", [(1_250, False), (30_000, True)])
+    def test_full_class_rounds(self, n, conditioned):
+        fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
+        klass = fixture.klass
+        rows = enumerate_class(klass).matrix
+        assert len(rows) == 4060
+        dist = fixture.distribution
+        selected = ()
+        if conditioned:
+            selected = ((klass.hypothesis(0), klass.hypothesis(4059)),)
+            dist = measures.condition_on_agreement(dist, selected).conditional
+        kept = CountTable.of(sample_dataset(dist, n, RngStream(39, n)))
+        trace = one_round_trace(kept, np.arange(len(rows)), 30_000, 3, selected)
+        allowance, floor = diagnostics_allowance(trace)
+        scored, _ = self._check(rows, kept.point_counts(), dist.point_marginal(),
+                                allowance, floor)
+        assert scored < 4060 * 4059 // 2 // 100
+
 
 class TestChunkBoundaries:
     """Tiny chunk budgets put the answers on both sides of chunk boundaries."""
 
     @staticmethod
-    def _boundary_sides(k, row):
-        """Whether row is the first row of a later chunk, and whether it is
-        the last row of a chunk that has a successor."""
-        starts = chunk_starts(k)
-        return row in starts[1:], row + 1 in starts[1:]
+    def _boundary_sides(k, row, cells):
+        """Whether row is the first row of a later chunk, whether it is the
+        last row of a chunk that has a successor, and whether it lies in a
+        later chunk than the first."""
+        later_starts = chunk_starts(k, cells)[1:]
+        return row in later_starts, row + 1 in later_starts, row >= min(later_starts, default=k)
 
     def test_pair_search(self, monkeypatch):
         gen = RngStream(33, 1).generator()
@@ -269,16 +396,18 @@ class TestChunkBoundaries:
                 assert got == reference_find_disagreeing_pair(klass, index_set, kept, threshold)
                 if got is not None:
                     row = int(np.searchsorted(index_set, got[0]))
-                    first, last = self._boundary_sides(index_set.size, row)
+                    first, last, _ = self._boundary_sides(index_set.size, row, budget)
                     sides[0] += first
                     sides[1] += last
         assert min(sides) > 0, sides
 
     def test_diagnostics(self, monkeypatch):
+        """The scan's own chunks: the worst pair on both sides of a
+        boundary, and in a later chunk than the first seed."""
         gen = RngStream(34, 1).generator()
-        sides = [0, 0]
+        sides = [0, 0, 0]
         for budget in (1, 7, 20, 45):
-            monkeypatch.setattr(engine, "_PAIR_CHUNK_CELLS", budget)
+            monkeypatch.setattr(engine, "_SCAN_CHUNK_CELLS", budget)
             for _ in range(150):
                 klass, dist, trace = tied_instance(gen, max_rows=40, duplicates=False)
                 got = diagnose_failure_events(trace, klass, dist)
@@ -287,9 +416,8 @@ class TestChunkBoundaries:
                 cand = trace.records[0].candidates
                 worst = got.iterations[0].worst_pair
                 row = int(np.searchsorted(cand, worst[0]))
-                first, last = self._boundary_sides(cand.size, row)
-                sides[0] += first
-                sides[1] += last
+                for n, side in enumerate(self._boundary_sides(cand.size, row, budget)):
+                    sides[n] += side
         assert min(sides) > 0, sides
 
 
