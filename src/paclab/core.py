@@ -23,13 +23,16 @@ trusted constructors _trusted_hypothesis, _trusted_class and
 _trusted_table, which skip the checks and only make the arrays read-only;
 a table whose size is known (a piece of a requested size) is not summed.
 
-This module is also the one place where a class's -1/+1 labels become a
-kernel operand. The mistake kernel (_mistake_products) takes one row chunk
-of the int8 label matrix at a time and casts its +1 entries to a 0/1
-operand, so no class keeps a copy of its labels in another dtype and the
-kernel's working memory is one chunk, whatever the class. It scores one
-table or a stack of them: CountTable.mistakes returns one table's counts,
-_least_mistakes each table's lowest-index minimum.
+A -1/+1 label matrix becomes a numeric operand only for the product that
+reads it, so no class keeps its labels in another dtype. Here the mistake
+kernel (_mistake_products) casts the +1 entries of one row chunk of a
+class's int8 label matrix at a time, so its working memory is one chunk,
+whatever the class: CountTable.mistakes returns one table's counts,
+_least_mistakes each stacked table's lowest-index minimum. A label
+vector or matrix given to CountTable.mistakes is scored whole. Elsewhere
+engine.pair_disagreements casts the candidate rows of the pair search and
+the worst-pair scan, experts._paired_mistakes a batch's validation labels,
+and measures.row_errors the rows of its mass products.
 """
 
 from __future__ import annotations
@@ -495,8 +498,8 @@ class CountTable:
 
     def mistakes(self, labels, index=None):
         """Mistake count of a label vector, of each row of a label matrix, or
-        of each member of a HypothesisClass (of the members at index, which
-        applies to a class only).
+        of each member of a HypothesisClass; index, when given, selects the
+        rows or members to score.
 
         A labeling pays every +1 sample except where it predicts +1, where
         it pays the -1 samples instead: one product per row. A class is
@@ -512,6 +515,8 @@ class CountTable:
             for a0, block in _mistake_products(labels, difference, self.size < _FLOAT_EXACT, index):
                 paid[a0 : a0 + len(block)] = block
             return paid + int(positive.sum())
+        if index is not None:
+            labels = labels[index]
         return (labels == 1) @ difference + int(positive.sum())
 
     def restrict(self, mask: np.ndarray) -> "CountTable":

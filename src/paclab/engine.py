@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import CountTable, HypothesisClass, _least_mistakes, enumerate_class
+from .core import _FLOAT_EXACT, CountTable, HypothesisClass, _least_mistakes, enumerate_class
 
 __all__ = [
     "TheoryConstants",
@@ -139,13 +139,13 @@ def near_optimal_set(klass: HypothesisClass, data, gamma: float, allowance: floa
 
 
 _PAIR_CHUNK_CELLS = 8_192
-"""Pairs per chunk of the pair kernel: bounds its working memory by cells,
+"""Pairs per chunk of the pair search: bounds its working memory by cells,
 whatever the number of rows."""
 
 _SCAN_CHUNK_CELLS = 65_536
-"""Pairs per chunk of the worst-pair scan, which holds one float per cell.
-On filter-regime rounds (u = 30, up to about 2000 rows) 2^16 cells ran
-faster than 2^12 to 2^15 or 2^17 and 2^18."""
+"""Pairs per chunk of the worst-pair scan. On filter-regime rounds (u = 30,
+up to about 2000 rows) 2^16 cells ran faster than 2^12 to 2^15 or 2^17 and
+2^18."""
 
 _SCAN_SLACK = 1e-9
 """How far a pair's bound may fall short of its exact deviation before the
@@ -162,34 +162,43 @@ def _pair_chunks(k: int, cells: int):
         a0 = a1
 
 
-def pair_disagreements(rows: np.ndarray, weights):
+def pair_disagreements(rows: np.ndarray, weights, cells: int):
     """Weighted disagreement of every row of a label matrix with every later row.
 
     rows is a (k, u) label matrix and weights a (u,) vector of per-point
-    weights (sample counts, say). Yields (a0, block, later) for consecutive
-    row chunks [a0, a1): block[i, j] is the total weight of the points where
-    rows a0 + i and a0 + 1 + j differ, and later[i, j] (j >= i) marks the
-    cells that hold a pair a < b. Reading the later cells chunk by chunk,
-    row by row, visits the pairs in lexicographic order.
+    weights: sample counts, or signed floats. Yields (a0, block) for
+    consecutive row chunks [a0, a1) of about cells pairs each: block[i, j]
+    is |Σ w| over the points where rows a0 + i and a0 + 1 + j differ, and
+    the cells j < i, which pair a row with itself or an earlier one, hold
+    the lowest value of the block's dtype. Reading the other cells chunk by
+    chunk, row by row, visits the pairs a < b in lexicographic order.
 
-    block = P[a0:a1]·diag(w)·Q[a0+1:]ᵀ + Q[a0:a1]·diag(w)·P[a0+1:]ᵀ with
-    P = (rows == 1) and Q = 1 - P, taken as one product whose inner index
-    interleaves the two terms point by point. Every term is a weight or
-    zero, so integer weights give exact integers. A chunk holds about
-    _PAIR_CHUNK_CELLS pairs, so memory is O(k·u) plus one chunk, never
-    k x k.
+    With P = (rows == 1) and g = P·w, a pair's sum is g_a + g_b -
+    2·(P_a∘w)·P_b: one (u + 2)-wide product of [-2·P∘w, g, 1] for the
+    chunk's rows with [P, 1, g] for the later rows. Integer weights give
+    integer terms and partial sums within 4·Σ|w|: the product is float64
+    while that is below 2**53 and int64 above, so the sums are exact.
+    Memory is O(k·u) plus one chunk, never k x k.
     """
     positive = rows == 1
     k, u = positive.shape
-    right = np.empty((k, 2 * u))
-    right[:, 0::2] = ~positive
-    right[:, 1::2] = positive
-    # left = (1 - right)·diag(w) holds P·w and Q·w interleaved; it is built
-    # per chunk, so only right spans all k rows.
-    w = np.repeat(np.asarray(weights, dtype=np.float64), 2)
-    for a0, a1 in _pair_chunks(k, _PAIR_CHUNK_CELLS):
-        later = np.arange(k - a0 - 1) >= np.arange(a1 - a0)[:, None]
-        yield a0, ((1.0 - right[a0:a1]) * w) @ right[a0 + 1 :].T, later
+    w = np.asarray(weights)
+    floating = w.dtype.kind == "f" or 4 * int(np.abs(w).sum()) < _FLOAT_EXACT
+    dtype = np.float64 if floating else np.int64
+    lowest = -np.inf if floating else np.iinfo(np.int64).min
+    right = np.empty((k, u + 2), dtype)
+    right[:, :u] = positive
+    right[:, u] = 1
+    right[:, u + 1] = g = right[:, :u] @ w.astype(dtype)
+    for a0, a1 in _pair_chunks(k, cells):
+        left = np.empty((a1 - a0, u + 2), dtype)
+        np.multiply(positive[a0:a1], -2 * w, out=left[:, :u])
+        left[:, u] = g[a0:a1]
+        left[:, u + 1] = 1
+        block = left @ right[a0 + 1 :].T
+        np.abs(block, out=block)
+        block[:, : a1 - a0][np.tri(a1 - a0, k=-1, dtype=bool)] = lowest
+        yield a0, block
 
 
 def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: float):
@@ -206,27 +215,17 @@ def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: f
     allowance, excess) for the pair of largest excess, the lexicographically
     first among equals.
 
-    Bound, then verify. With δ = counts/m - marginal, P = (rows == 1) and
-    g = P·δ, a pair's deviation is |g_a + g_b - 2·(P_a∘δ)·P_b| up to
-    rounding: one (u + 2)-wide product bounds a chunk of about
-    _SCAN_CHUNK_CELLS pairs. A pair can beat the best excess e found so far
-    only if its deviation exceeds e + floor, so only pairs whose bound
-    exceeds that, less _SCAN_SLACK, are scored exactly; each chunk first
-    scores its largest-bound pair to raise e. Memory is O(k·u) plus one
-    chunk, never k x k.
+    Bound, then verify. pair_disagreements with the weights counts/m -
+    marginal gives every pair's deviation up to rounding, a chunk of about
+    _SCAN_CHUNK_CELLS pairs at a time. A pair can beat the best excess e
+    found so far only if its deviation exceeds e + floor, so only pairs
+    whose bound exceeds that, less _SCAN_SLACK, are scored exactly; each
+    chunk first scores its largest-bound pair to raise e. Memory is O(k·u)
+    plus one chunk, never k x k.
     """
     positive = rows == 1
-    k, u = positive.shape
     counts = np.asarray(counts)
     m = int(counts.sum())
-    # left·rightᵀ = -2·(P∘δ)·Pᵀ + g·1ᵀ + 1·gᵀ, the signed deviation.
-    left = np.empty((k, u + 2))
-    right = np.empty((k, u + 2))
-    np.multiply(positive, counts / m - marginal, out=left[:, :u])
-    right[:, :u] = positive
-    right[:, u] = left[:, u + 1] = 1.0
-    right[:, u + 1] = left[:, u] = left[:, :u].sum(axis=1)
-    left[:, :u] *= -2.0
 
     def score(a, b):
         differ = positive[a] != positive[b]
@@ -238,12 +237,8 @@ def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: f
 
     best = None
     best_excess = -math.inf
-    for a0, a1 in _pair_chunks(k, _SCAN_CHUNK_CELLS):
-        # bound[i, j] bounds the pair (a0 + i, a0 + 1 + j); the cells j < i
-        # pair a row with itself or an earlier one.
-        bound = left[a0:a1] @ right[a0 + 1 :].T
-        np.abs(bound, out=bound)
-        bound[:, : a1 - a0][np.tri(a1 - a0, k=-1, dtype=bool)] = -math.inf
+    for a0, bound in pair_disagreements(rows, counts / m - marginal, _SCAN_CHUNK_CELLS):
+        # bound[i, j] bounds the pair (a0 + i, a0 + 1 + j).
         seed = int(np.argmax(bound))
         if bound.flat[seed] <= best_excess + floor - _SCAN_SLACK:
             continue
@@ -265,12 +260,14 @@ def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: f
 def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
     """First index pair disagreeing on at least a threshold fraction of samples.
 
-    The scan is lexicographic over the sorted index set: the first row by
-    one row product, since it often holds the answer, then the rest chunk
-    by chunk through pair_disagreements. Returns None when no pair
-    qualifies or fewer than two indices were given.
+    The scan is lexicographic over the sorted index set, chunk by chunk
+    through pair_disagreements. Returns None when no pair qualifies or
+    fewer than two indices were given; an index outside the class is a
+    ValueError.
     """
     idx = np.unique(np.asarray(index_set, dtype=np.int64))
+    if idx.size and (idx[0] < 0 or idx[-1] >= klass.size):
+        raise ValueError(f"indices must lie in [0, {klass.size}), got {idx[0]}..{idx[-1]}")
     if idx.size < 2:
         return None
     table = CountTable.of(data)
@@ -278,15 +275,12 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
         raise ValueError("empty sample set")
     rows = enumerate_class(klass).matrix[idx]
     n = len(table)
-    point_counts = table.point_counts()
-    hits = np.flatnonzero(((rows[1:] != rows[0]) @ point_counts) / n >= threshold)
-    if hits.size:
-        return int(idx[0]), int(idx[1 + hits[0]])
-    for a0, counts, later in pair_disagreements(rows[1:], point_counts):
-        hits = np.flatnonzero(later & (counts / n >= threshold))
+    for a0, counts in pair_disagreements(rows, table.point_counts(), _PAIR_CHUNK_CELLS):
+        # Masked cells are below every count, so cell (0, 0) hits before any.
+        hits = np.flatnonzero(counts / n >= threshold)
         if hits.size:
             i, j = divmod(int(hits[0]), counts.shape[1])
-            return int(idx[1 + a0 + i]), int(idx[2 + a0 + j])
+            return int(idx[a0 + i]), int(idx[a0 + 1 + j])
     return None
 
 

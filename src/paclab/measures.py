@@ -63,11 +63,10 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
 
 def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
-    HypothesisClass (of the members at index, which applies to a class
-    only): one mass product per row."""
+    HypothesisClass, of those at index when given: one mass product per row."""
     if isinstance(rows, HypothesisClass):
-        rows = rows.matrix if index is None else rows.matrix[index]
-    positive = rows == 1
+        rows = rows.matrix
+    positive = (rows if index is None else rows[index]) == 1
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 

@@ -236,6 +236,14 @@ class TestFindDisagreeingPair:
         klass, data = self._five_hypothesis_fixture()
         assert find_disagreeing_pair(klass, [3], data, 0.5) is None
 
+    @pytest.mark.parametrize("index_set", [[-1, 0], [0, 5], [2, 9], [-3], [5]])
+    def test_indices_outside_the_class_are_rejected(self, index_set):
+        """A negative index would wrap to a member and a large one would
+        raise a bare IndexError."""
+        klass, data = self._five_hypothesis_fixture()
+        with pytest.raises(ValueError, match="indices"):
+            find_disagreeing_pair(klass, index_set, data, 0.0)
+
     def test_complementary_pair_at_full_threshold(self):
         klass, data = self._five_hypothesis_fixture()
         assert find_disagreeing_pair(klass, [0, 4], data, 1.0) == (0, 4)

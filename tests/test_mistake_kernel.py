@@ -94,6 +94,16 @@ class TestExactCounts:
         expected = reference_mistakes(enumerate_class(klass).matrix, counts)
         assert CountTable(counts).mistakes(klass).tolist() == expected.tolist()
 
+    def test_an_index_selects_matrix_rows_as_it_selects_class_members(self, chunking):
+        gen = RngStream(74, 1).generator()
+        for _ in range(100):
+            klass = random_class(gen)
+            table = CountTable(random_counts(gen, klass.domain_size, 10**9))
+            index = gen.integers(0, len(klass), size=int(gen.integers(1, 9)))
+            got = table.mistakes(klass.matrix, index)
+            assert got.shape == index.shape
+            assert got.tolist() == table.mistakes(klass, index).tolist()
+
     def test_a_table_beyond_float_precision_takes_the_integer_product(self):
         klass = HypothesisClass(np.array([[1, -1, 1], [-1, -1, 1], [1, 1, -1]], dtype=np.int8))
         counts = np.array([[2**53 + 1, 3], [5, 2**53 + 7], [1, 1]])
@@ -168,6 +178,9 @@ class TestRowErrors:
             )
             assert np.array_equal(
                 measures.row_errors(klass, dist, index), measures.row_errors(matrix[index], dist)
+            )
+            assert np.array_equal(
+                measures.row_errors(matrix, dist, index), measures.row_errors(klass, dist, index)
             )
 
 

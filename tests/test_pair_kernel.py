@@ -229,24 +229,29 @@ def ordered_worst_pair(rows, counts, marginal, allowance):
 
 
 class TestKernel:
-    def test_every_later_cell_is_the_exact_integer_disagreement(self, monkeypatch):
+    def test_every_later_cell_is_the_exact_integer_disagreement(self):
+        """Counts in the float64 product, and weights summing above 2**51,
+        which take the int64 product."""
         gen = RngStream(31, 1).generator()
         for budget in (1, 5, 17, engine._PAIR_CHUNK_CELLS):
-            monkeypatch.setattr(engine, "_PAIR_CHUNK_CELLS", budget)
             for _ in range(20):
                 k, u = int(gen.integers(2, 30)), int(gen.integers(1, 8))
                 rows = gen.choice(np.array([-1, 1], dtype=np.int8), size=(k, u))
                 rows[-1] = rows[0]
-                weights = gen.integers(0, 10**9, size=u)
-                seen = []
-                for a0, block, later in engine.pair_disagreements(rows, weights):
-                    assert block.shape == later.shape == (block.shape[0], k - a0 - 1)
-                    assert block.shape[0] == 1 or block.size <= budget
-                    for i, j in zip(*np.nonzero(later)):
-                        a, b = a0 + i, a0 + 1 + j
-                        assert block[i, j] == int((rows[a] != rows[b]) @ weights)
-                        seen.append((a, b))
-                assert seen == [(a, b) for a in range(k) for b in range(a + 1, k)]
+                for weights, dtype in ((gen.integers(0, 10**9, size=u), np.float64),
+                                       (gen.integers(2**51, 2**52, size=u), np.int64)):
+                    seen = []
+                    for a0, block in engine.pair_disagreements(rows, weights, budget):
+                        assert block.dtype == dtype
+                        assert block.shape[1] == k - a0 - 1
+                        assert block.shape[0] == 1 or block.size <= budget
+                        later = np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]
+                        assert (block[~later] < 0).all()
+                        for i, j in zip(*np.nonzero(later)):
+                            a, b = a0 + i, a0 + 1 + j
+                            assert block[i, j] == int((rows[a] != rows[b]) @ weights)
+                            seen.append((a, b))
+                    assert seen == [(a, b) for a in range(k) for b in range(a + 1, k)]
 
 
 class TestDiagnosticsMatchTheLoop:
@@ -490,4 +495,22 @@ def test_diagnostics_on_the_full_class_allocate_no_square_array():
     finally:
         tracemalloc.stop()
     assert report.iterations[0].worst_pair is not None
+    assert peak < 16 * 2**20, peak
+
+
+def test_pair_search_on_the_full_class_allocates_no_square_array():
+    """Searching all 4060 rows of dsubset(u=30, d=3) with a threshold no
+    pair meets reads every pair, and stays far below the 132 MB of one
+    k x k float64 array (or the 16.5 MB of a boolean one)."""
+    fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
+    k = len(enumerate_class(fixture.klass))
+    assert k == 4060
+    kept = CountTable.of(sample_dataset(fixture.distribution, 30_000, RngStream(35, 1)))
+    tracemalloc.start()
+    try:
+        pair = find_disagreeing_pair(fixture.klass, np.arange(k), kept, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair is None
     assert peak < 16 * 2**20, peak
