@@ -24,15 +24,14 @@ _trusted_table, which skip the checks and only make the arrays read-only;
 a table whose size is known (a piece of a requested size) is not summed.
 
 A -1/+1 label matrix becomes a numeric operand only for the product that
-reads it, so no class keeps its labels in another dtype. Here the mistake
-kernel (_mistake_products) casts the +1 entries of one row chunk of a
-class's int8 label matrix at a time, so its working memory is one chunk,
-whatever the class: CountTable.mistakes returns one table's counts,
-_least_mistakes each stacked table's lowest-index minimum. A label
-vector or matrix given to CountTable.mistakes is scored whole. Elsewhere
+reads it, so no class keeps its labels in another dtype. The mistake
+kernel (_mistake_products) is the one code that turns labels into mistake
+counts: it casts the +1 entries of one row chunk of a label matrix at a
+time, so its working memory is one chunk whatever the matrix, for ERM
+(_least_mistakes), CountTable.mistakes (a class, a matrix or a vector)
+and the validation of a training batch. Elsewhere
 engine.pair_disagreements casts the candidate rows of the pair search and
-the worst-pair scan, experts._paired_mistakes a batch's validation labels,
-and measures.row_errors the rows of its mass products.
+the worst-pair scan, and measures.row_errors the rows of its mass products.
 """
 
 from __future__ import annotations
@@ -256,26 +255,39 @@ def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | N
     klass.declared_vc = declared_vc
 
 
-def _mistake_products(klass: HypothesisClass, differences: np.ndarray, exact: bool, index=None):
-    """Yield (a0, paid) for consecutive row chunks [a0, a1) of the class's
-    members (of the members at index): paid = P[a0:a1] @ differences, with
-    P = (matrix == 1) and differences the (u,) vector or (u, T) stack of
-    c₋ − c₊ of T tables.
+def _checked_index(index, rows: int) -> np.ndarray:
+    """index as an integer array inside [0, rows), else a ValueError; an
+    empty index passes whatever its dtype (np.asarray([]) is float64)."""
+    index = np.asarray(index)
+    if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= rows):
+        raise ValueError(f"indices must be integers in [0, {rows}), got {index.dtype} {index}")
+    return index.astype(np.intp, copy=False)
 
-    Each chunk of P is cast from the label matrix to float64 when exact is
-    true (every table holds fewer than 2**53 samples, so each partial sum is
-    an exact integer) and to int64 otherwise. A chunk spans about
-    _KERNEL_CHUNK_CELLS operand cells and _KERNEL_OUTPUT_CELLS output cells.
+
+def _mistake_products(matrix: np.ndarray, counts: np.ndarray, index=None):
+    """Yield (a0, paid) for consecutive row chunks [a0, a1) of a -1/+1 label
+    matrix (of its rows at index): paid[i, t] is the mistake count of row
+    a0 + i on the t-th table of a (T, u, 2) stack of table counts.
+
+    With P = (matrix == 1), a row pays P·(c₋ − c₊) + Σc₊. The product is
+    float64 while every table holds under 2**53 samples, so every partial
+    sum is an exact integer, and int64 otherwise; paid has its dtype. A
+    chunk spans about _KERNEL_CHUNK_CELLS operand and _KERNEL_OUTPUT_CELLS
+    output cells.
     """
-    matrix = klass.matrix
-    weights = np.asarray(differences, dtype=np.float64 if exact else np.int64, order="C")
-    rows = matrix.shape[0] if index is None else len(index)
-    width = 1 if weights.ndim == 1 else weights.shape[1]
-    step = max(1, min(_KERNEL_CHUNK_CELLS // matrix.shape[1], _KERNEL_OUTPUT_CELLS // width))
+    negative, positive = counts[:, :, 0], counts[:, :, 1]
+    dtype = np.float64 if counts.sum(axis=(1, 2)).max() < _FLOAT_EXACT else np.int64
+    weights = np.ascontiguousarray((negative - positive).T, dtype=dtype)
+    paid_positive = positive.sum(axis=1)
+    if index is not None:
+        index = _checked_index(index, matrix.shape[0])
+    rows = matrix.shape[0] if index is None else index.size
+    step = max(1, min(_KERNEL_CHUNK_CELLS // matrix.shape[1], _KERNEL_OUTPUT_CELLS // len(counts)))
     for a0 in range(0, rows, step):
-        part = slice(a0, a0 + step)
-        block = matrix[part] if index is None else matrix[index[part]]
-        yield a0, (block == 1).astype(weights.dtype) @ weights
+        block = matrix[a0 : a0 + step] if index is None else matrix[index[a0 : a0 + step]]
+        paid = (block == 1).astype(dtype) @ weights
+        paid += paid_positive
+        yield a0, paid
 
 
 def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndarray]:
@@ -283,12 +295,9 @@ def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndar
     that count: one product of the class with the stacked tables per row
     chunk, reduced to a running per-table minimum as the chunks arrive."""
     counts = np.stack([table.counts for table in tables])
-    positive = counts[:, :, 1].sum(axis=1)
-    differences = (counts[:, :, 0] - counts[:, :, 1]).T
-    exact = max(table.size for table in tables) < _FLOAT_EXACT
     columns = np.arange(len(tables))
     best = least = None
-    for a0, paid in _mistake_products(klass, differences, exact):
+    for a0, paid in _mistake_products(klass.matrix, counts):
         local = paid.argmin(axis=0)
         value = paid[local, columns]
         if best is None:
@@ -297,7 +306,7 @@ def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndar
             better = value < least
             best = np.where(better, a0 + local, best)
             least = np.where(better, value, least)
-    return best, least.astype(np.int64) + positive
+    return best, least.astype(np.int64)
 
 
 def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisClass:
@@ -497,27 +506,17 @@ class CountTable:
         return self.counts.sum(axis=1)
 
     def mistakes(self, labels, index=None):
-        """Mistake count of a label vector, of each row of a label matrix, or
-        of each member of a HypothesisClass; index, when given, selects the
-        rows or members to score.
-
-        A labeling pays every +1 sample except where it predicts +1, where
-        it pays the -1 samples instead: one product per row. A class is
-        scored in row chunks (_mistake_products), each chunk's +1 entries
-        cast to float64: every partial sum there is an integer of magnitude
-        at most len(self), so below 2**53 samples the counts are exact, and
-        larger tables take the int64 product.
-        """
-        negative, positive = self.counts[:, 0], self.counts[:, 1]
-        difference = negative - positive
-        if isinstance(labels, HypothesisClass):
-            paid = np.empty(labels.size if index is None else len(index), dtype=np.int64)
-            for a0, block in _mistake_products(labels, difference, self.size < _FLOAT_EXACT, index):
-                paid[a0 : a0 + len(block)] = block
-            return paid + int(positive.sum())
-        if index is not None:
-            labels = labels[index]
-        return (labels == 1) @ difference + int(positive.sum())
+        """Mistake count of a label vector, or of each row of a label matrix
+        or member of a HypothesisClass, of those at index when given: rows
+        of the mistake kernel (_mistake_products) on this one table."""
+        matrix = labels.matrix if isinstance(labels, HypothesisClass) else np.asarray(labels)
+        if matrix.ndim == 1 and index is not None:
+            raise ValueError("an index selects rows of a label matrix or class members")
+        rows = matrix if matrix.ndim == 2 else matrix[None]
+        paid = np.empty(len(rows) if index is None else len(index), dtype=np.int64)
+        for a0, block in _mistake_products(rows, self.counts[None], index):
+            paid[a0 : a0 + len(block)] = block[:, 0]
+        return paid if matrix.ndim == 2 else paid[0]
 
     def restrict(self, mask: np.ndarray) -> "CountTable":
         """The samples that fall on the points where mask is true."""

@@ -13,7 +13,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _FLOAT_EXACT, CountTable, HypothesisClass, _least_mistakes, enumerate_class
+from .core import (
+    _FLOAT_EXACT, CountTable, HypothesisClass, _checked_index, _least_mistakes, enumerate_class,
+)
 
 __all__ = [
     "TheoryConstants",
@@ -262,12 +264,10 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
 
     The scan is lexicographic over the sorted index set, chunk by chunk
     through pair_disagreements. Returns None when no pair qualifies or
-    fewer than two indices were given; an index outside the class is a
-    ValueError.
+    fewer than two indices were given; an index that is not an integer
+    inside the class is a ValueError.
     """
-    idx = np.unique(np.asarray(index_set, dtype=np.int64))
-    if idx.size and (idx[0] < 0 or idx[-1] >= klass.size):
-        raise ValueError(f"indices must lie in [0, {klass.size}), got {idx[0]}..{idx[-1]}")
+    idx = np.unique(_checked_index(index_set, klass.size))
     if idx.size < 2:
         return None
     table = CountTable.of(data)

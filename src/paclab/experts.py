@@ -22,11 +22,12 @@ its batch of one. Every minimization step of the batch (the estimate
 third, each filtering round over the samples still in the loop, the
 nonempty holdout sides and the fit third) scores every sample's table with
 one product of the class against the stacked tables (engine.erm_many), and
-the validation errors of the whole batch are one integer product. A round
-that neither exits nor empties its block runs the near-optimal filter and
-the pair search one sample at a time. Until a sample records a pair, its
-loop filters nothing: each block is its own kept table and the holdout is
-all agreement side.
+the validation errors of the whole batch are one call of the mistake
+kernel (core._mistake_products): both candidates of every sample against
+the stacked validation tables. A round that neither exits nor empties its
+block runs the near-optimal filter and the pair search one sample at a
+time. Until a sample records a pair, its loop filters nothing: each block
+is its own kept table and the holdout is all agreement side.
 
 Every iteration keeps its filtered block's table on the trace, so the
 diagnostic functions can recompute conditional quantities exactly afterwards.
@@ -46,6 +47,7 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     SamplePieces,
+    _mistake_products,
     _trusted_hypothesis,
     _trusted_table,
     enumerate_class,
@@ -378,10 +380,12 @@ def train_many(
     each sample's pieces are taken in the same order as train takes them:
     the estimate third, then, once its schedule is known, every block, the
     holdout and the validation third as one run. So a drawn sample costs
-    two draws. The validation errors of the whole batch are one stacked
-    integer product. A batch of one runs its filtering step through
-    core_train, on its run's tables, so a call of train is also a call of
-    core_train, as tools that time core_train expect.
+    two draws. The validation errors of the whole batch are one call of the
+    mistake kernel on the 2T stacked candidates and the T validation
+    tables, of which each sample reads its own two cells. A batch of one
+    runs its filtering step through core_train, on its run's tables, so a
+    call of train is also a call of core_train, as tools that time
+    core_train expect.
     """
     pieces = [SamplePieces.of(data) for data in samples]
     if not pieces:
@@ -412,10 +416,13 @@ def train_many(
     ]
     erm_indices = [index for index, _ in erm_many(klass, fit_tables)]
 
+    # Rows 2t and 2t + 1 are sample t's two candidates; each reads its own
+    # sample's validation table, column t.
     core_labels = np.stack([classifier.tabulate().labels for classifier, _ in cores])
-    paid = _paired_mistakes(
-        np.stack([core_labels, klass.matrix[erm_indices]], axis=1), validations
-    ).tolist()
+    rows = np.stack([core_labels, klass.matrix[erm_indices]], axis=1).reshape(2 * len(cores), -1)
+    products = _mistake_products(rows, np.stack([table.counts for table in validations]))
+    scored = np.concatenate([block for _, block in products]).reshape(len(cores), 2, len(cores))
+    paid = scored[np.arange(len(cores)), :, np.arange(len(cores))].tolist()
     results = []
     for (core_classifier, trace), estimate, erm_index, validation, (core_paid, erm_paid) in zip(
         cores, estimates, erm_indices, validations, paid
@@ -453,16 +460,6 @@ def _replayed(tables) -> SamplePieces:
         return stacked
 
     return SamplePieces(sum(sizes), tables[0].domain_size, draw)
-
-
-def _paired_mistakes(labels: np.ndarray, tables) -> np.ndarray:
-    """Mistake counts of labels[t, j] on tables[t] for every t and j, with
-    labels a (T, k, u) stack of -1/+1 vectors: one integer product over the
-    batch, term by term the counts of CountTable.mistakes."""
-    counts = np.stack([table.counts for table in tables])
-    negative, positive = counts[:, :, 0], counts[:, :, 1]
-    paid = np.matmul((labels == 1).astype(np.int64), (negative - positive)[:, :, None])
-    return paid[:, :, 0] + positive.sum(axis=1)[:, None]
 
 
 def _clamped_estimate(error: float, size: int) -> float:

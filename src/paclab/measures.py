@@ -18,6 +18,7 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     HypothesisClass,
+    _checked_index,
     _trusted_class,
     _trusted_hypothesis,
     enumerate_class,
@@ -63,10 +64,11 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
 
 def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
-    HypothesisClass, of those at index when given: one mass product per row."""
+    HypothesisClass, of those at index (integers inside the rows) when
+    given: one mass product per row."""
     if isinstance(rows, HypothesisClass):
         rows = rows.matrix
-    positive = (rows if index is None else rows[index]) == 1
+    positive = (rows if index is None else rows[_checked_index(index, len(rows))]) == 1
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 

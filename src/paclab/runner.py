@@ -24,8 +24,9 @@ per trial (the estimate third, then every other piece as one run), so
 sampling costs the same at any n. Each minimization step of a batch scores
 all its trials with one product per row chunk of the class's label matrix
 (the mistake kernel, core._mistake_products), so a class of any size costs
-the batch one chunk of working memory; the validation errors and both true
-errors of every trial in a batch are one stacked product each.
+the batch one chunk of working memory. The validation errors of every
+trial in a batch are one call of the same kernel, and both true errors of
+every trial one stacked product.
 
 A grid n too small for the fixture's d, that is below 6(d + 1), where a
 trial's filter half would not exceed d, is a ConfigError.

@@ -247,6 +247,12 @@ class TestTrainMany:
         results = check_batch(drawn(fixture, 6 * 2**53 + 5, 48, 2), fixture.klass, fixture.vc_dim)
         assert all(r.trace.filter_half >= 2**53 for r in results)
 
+    def test_validation_beyond_float_precision(self):
+        """Validation tables of 2**53 samples or more take the mistake
+        kernel's int64 product; each sample still reads its own two cells."""
+        fixture = dsubset_adversary(u=12, d=2)
+        check_batch(drawn(fixture, 3 * 2**53 + 7, 49, 3), fixture.klass, fixture.vc_dim)
+
     def test_pieces_are_taken_in_the_one_sample_order(self):
         fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
         flat = fixture.distribution.mass.reshape(-1)
@@ -331,8 +337,8 @@ class TestLeastMistakes:
 
     def test_no_chunk_spans_rows_times_tables(self):
         klass = dsubset_adversary(tau=0.05, d=2).klass
-        differences = np.ones((klass.domain_size, 50), dtype=np.int64)
-        chunks = list(core._mistake_products(klass, differences, exact=True))
+        counts = np.ones((50, klass.domain_size, 2), dtype=np.int64)
+        chunks = list(core._mistake_products(klass.matrix, counts))
         assert len(chunks) > 1
         assert all(block.size <= core._KERNEL_OUTPUT_CELLS for _, block in chunks)
         assert sum(len(block) for _, block in chunks) == klass.size

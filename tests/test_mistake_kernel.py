@@ -27,6 +27,7 @@ from paclab import (
     enumerate_class,
     erm,
     erm_many,
+    find_disagreeing_pair,
     measures,
     near_optimal_set,
 )
@@ -109,6 +110,64 @@ class TestExactCounts:
         counts = np.array([[2**53 + 1, 3], [5, 2**53 + 7], [1, 1]])
         expected = reference_mistakes(klass.matrix, counts)
         assert CountTable(counts).mistakes(klass).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("high", [5, 10**9, 2**55])
+    def test_label_vectors_and_indexed_matrices(self, chunking, high):
+        """Vectors and indexed label matrices go through the same row chunks
+        as a class, on both the float64 and the int64 product."""
+        gen = RngStream(77, high).generator()
+        for _ in range(100):
+            klass = random_class(gen)
+            counts = random_counts(gen, klass.domain_size, high)
+            table = CountTable(counts)
+            index = gen.integers(0, len(klass), size=int(gen.integers(0, 60)))
+            expected = reference_mistakes(klass.matrix[index], counts)
+            got = table.mistakes(klass.matrix, index)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected.tolist()
+            for row, want in zip(klass.matrix[index], expected.tolist()):
+                assert table.mistakes(row) == want
+
+
+def index_boundary_case():
+    klass = HypothesisClass(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8))
+    table = CountTable(np.ones((2, 2), dtype=np.int64))
+    return klass, table, DiscreteDistribution.uniform_deterministic([1, -1])
+
+
+class TestIndexBoundary:
+    """Every reader of a member index takes integers inside the class and
+    nothing else: a negative index would wrap to a member, a float would be
+    truncated to one, and one past the end would raise a bare IndexError."""
+
+    @pytest.mark.parametrize("index", [[-1], [4], [0, 4], [0.9, 2.7]])
+    def test_bad_indices_are_rejected(self, index):
+        klass, table, dist = index_boundary_case()
+        for rows in (klass, klass.matrix):
+            with pytest.raises(ValueError, match="indices"):
+                table.mistakes(rows, index)
+            with pytest.raises(ValueError, match="indices"):
+                measures.row_errors(rows, dist, index)
+        with pytest.raises(ValueError, match="indices"):
+            find_disagreeing_pair(klass, index, table, 0.0)
+
+    def test_an_empty_index_is_valid(self):
+        klass, table, dist = index_boundary_case()
+        for rows in (klass, klass.matrix):
+            assert table.mistakes(rows, []).tolist() == []
+            assert measures.row_errors(rows, dist, []).tolist() == []
+        assert find_disagreeing_pair(klass, [], table, 0.0) is None
+
+    def test_valid_indices_still_score(self):
+        klass, table, dist = index_boundary_case()
+        assert table.mistakes(klass, [3, 0]).tolist() == [2, 2]
+        assert measures.row_errors(klass, dist, [0, 2]).tolist() == [0.5, 1.0]
+        assert find_disagreeing_pair(klass, [0, 2], table, 0.0) == (0, 2)
+
+    def test_an_index_on_a_label_vector_is_rejected(self):
+        klass, table, _ = index_boundary_case()
+        with pytest.raises(ValueError, match="index"):
+            table.mistakes(klass.matrix[0], [0])
 
 
 def one_round_trace(kept, candidates, filter_half):
