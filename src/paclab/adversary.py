@@ -12,11 +12,14 @@ the table and instance.negatives.
 
 Games are played a chunk at a time. Per game run only its random draws
 (the truth subset, then one multinomial over the game's mass table) and
-the learner call; the chunk's truths, point masses, counts and learner
-outputs are stacked, and every check (the learner's negative count, the
-overlap with the truth, the closed-form error and the failure premium) runs
-once per chunk as array operations (_check_games). is_failure is the batch
-of one of those same checks.
+the learner call. A chunk makes one generator and re-keys it to each game's
+stream (core._restart), so a game pays for its draws, not for a fresh
+generator, and its truth rank is read off the drawn subset unchecked. The
+chunk's truths, point masses, counts and learner outputs are stacked, and
+every check (the learner's negative count, the overlap with the truth, the
+closed-form error and the failure premium) runs once per chunk as array
+operations (_check_games). is_failure is the batch of one of those same
+checks.
 
 Also includes the occupancy simulation used to bound how often sparse cells
 fall below their expected counts.
@@ -34,9 +37,10 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     RngStream,
+    _restart,
+    _subset_rank,
     _trusted_hypothesis,
     _trusted_table,
-    subset_rank,
     subset_unrank,
 )
 
@@ -55,9 +59,21 @@ __all__ = [
 ]
 
 _ADVERSARY_CHUNK = 100
-"""Most games checked as one batch: a chunk stacks its games' truths, point
-masses, sample counts and learner outputs, O(chunk x u) memory. The runner
-hands its pool one chunk per task."""
+"""Most games checked as one batch. A chunk stacks its games' truths, point
+masses, sample counts and learner outputs, about 26 bytes per game and
+point, so _chunk_games also holds it to _ADVERSARY_CHUNK_CELLS games x
+points. The runner hands its pool one chunk per task."""
+
+_ADVERSARY_CHUNK_CELLS = 2**19
+"""Games x points per chunk: about 14 MB of stacked arrays, whatever the
+domain size. Domains of up to 5242 points keep chunks of
+_ADVERSARY_CHUNK games; a domain wider than the budget plays one game per
+chunk."""
+
+
+def _chunk_games(u: int) -> int:
+    """Games per chunk on a u-point domain."""
+    return min(_ADVERSARY_CHUNK, max(1, _ADVERSARY_CHUNK_CELLS // u))
 
 
 @dataclass(frozen=True)
@@ -237,13 +253,14 @@ class AdversaryTrial:
     skew: float
 
 
-def _draw_subset(u: int, d: int, gen: np.random.Generator) -> np.ndarray:
-    """Uniform d-subset of range(u) via a partial shuffle over a sparse view."""
+def _draw_subset(u: int, d: int, gen: np.random.Generator) -> list[int]:
+    """Uniform d-subset of range(u), sorted, via a partial shuffle over a
+    sparse view."""
     swapped: dict[int, int] = {}
-    picked = np.empty(d, dtype=np.int64)
+    picked = []
     for i in range(d):
         j = int(gen.integers(i, u))
-        picked[i] = swapped.get(j, j)
+        picked.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
     picked.sort()
     return picked
@@ -265,12 +282,13 @@ def run_adversary_trials(
     records whether it failed. A learner of the game reads only the table
     and instance.negatives; test oracles may peek at the truth. Trial j
     gets its own child stream, so results do not depend on execution order.
-    Games are checked a chunk at a time, after every learner of the chunk
-    has been called.
+    Games are checked a chunk of _chunk_games(u) at a time, after every
+    learner of the chunk has been called.
     """
     out = []
-    for start in range(0, trials, _ADVERSARY_CHUNK):
-        stop = min(start + _ADVERSARY_CHUNK, trials)
+    step = _chunk_games(u)
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
         out.extend(_play_chunk(u, d, n, skew, range(start, stop), rng, learner))
     return out
 
@@ -283,25 +301,28 @@ def _play_chunk(
     truths = np.empty((games, d), dtype=np.int64)
     marginals = np.full((games, u), heavy)
     counts = np.empty((games, u, 2), dtype=np.int64)
-    # Per game only its draws, in their order: the truth, then the sample
-    # from the mass table build_distribution makes, normalized as
-    # SamplePieces.drawn normalizes it.
+    ranks = []
+    # Per game only its draws, in their order, from one generator re-keyed
+    # to the game's stream (the RngStream checks the stream's range): the
+    # truth, then the sample from the mass table build_distribution makes,
+    # normalized as SamplePieces.drawn normalizes it.
     mass = np.zeros((u, 2))
+    flat = mass.reshape(-1)
+    gen = rng.generator()
     for k, j in enumerate(indices):
-        gen = RngStream(rng.seed, rng.stream + 1 + j).generator()
-        truths[k] = _draw_subset(u, d, gen)
-        marginals[k, truths[k]] = light
+        _restart(gen, RngStream(rng.seed, rng.stream + 1 + j))
+        truth = _draw_subset(u, d, gen)
+        truths[k] = truth
+        ranks.append(_subset_rank(u, d, truth))
+        marginals[k, truth] = light
         mass[:, 1] = marginals[k]
-        flat = mass.reshape(-1)
         counts[k] = gen.multinomial(n, flat / flat.sum()).reshape(u, 2)
     counts.setflags(write=False)
 
     labels = np.empty((games, u), dtype=np.int8)
-    ranks = []
-    for k in range(games):
-        instance = AdversaryInstance(u, d, skew, subset_rank(u, d, truths[k]))
+    for k, rank in enumerate(ranks):
+        instance = AdversaryInstance(u, d, skew, rank)
         labels[k] = learner(_trusted_table(counts[k], n), instance).labels
-        ranks.append(instance.truth_rank)
 
     failed, errors = _check_games(labels, truths, marginals, u, d, skew)
     opt_error = (1.0 - skew) * d / u

@@ -175,7 +175,9 @@ class _View:
             return default
         return self.raw[key][0]
 
-    def integer(self, key: str, default=None, minimum: int | None = None):
+    def integer(
+        self, key: str, default=None, minimum: int | None = None, maximum: int | None = None
+    ):
         if key not in self.raw:
             return default
         value, line = self.raw[key]
@@ -185,6 +187,8 @@ class _View:
             raise ConfigError(f"{key!r} must be an integer, got {value!r}", line) from None
         if minimum is not None and parsed < minimum:
             raise ConfigError(f"{key!r} must be at least {minimum}, got {parsed}", line)
+        if maximum is not None and parsed > maximum:
+            raise ConfigError(f"{key!r} must be at most {maximum}, got {parsed}", line)
         return parsed
 
     def real(self, key: str, default=None):
@@ -245,7 +249,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for section in sorted(present_sections - _KIND_SECTIONS[kind]):
         raise ConfigError(f"section [{section}] is not valid for kind {kind!r}")
 
-    seed = experiment.integer("seed", minimum=0)
+    seed = experiment.integer("seed", minimum=0, maximum=2**64 - 1)
     if seed is None:
         raise ConfigError("missing required key 'seed' in [experiment]")
     trials = experiment.integer("trials", minimum=1)

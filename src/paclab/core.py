@@ -79,10 +79,14 @@ _UINT64 = 2**64
 class RngStream:
     """Addressable randomness: equal (seed, stream) pairs give equal draws.
 
-    Each stream is an independent counter-based generator, so handing stream
-    1 + i to trial i makes parallel execution reproduce serial execution
-    exactly, whatever the thread count. Draw sequences are stable for a fixed
-    numpy version.
+    Each stream is an independent counter-based generator keyed by the pair
+    (seed, stream) as two unsigned 64-bit words, so every pair in range
+    draws its own sequence, and handing stream 1 + i to trial i makes
+    parallel execution reproduce serial execution exactly, whatever the
+    thread count. Draw sequences are stable for a fixed numpy version.
+    generator() builds a fresh generator; a loop that plays one stream
+    after another may instead re-key one generator per stream with
+    _restart, which puts it in the state a fresh generator starts in.
     """
 
     seed: int
@@ -96,7 +100,31 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        # An explicit uint64 key: numpy turns a list holding an int of 2^63
+        # or more into float64, which maps neighbouring seeds to one key.
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+
+def _restart(gen: np.random.Generator, stream: RngStream) -> None:
+    """Put gen's Philox at the start of stream.
+
+    Sets exactly the state np.random.Philox(key=...) starts in: the
+    stream's key, counter 0, an empty buffer and no cached half-word, so
+    the draws that follow equal those of a fresh stream.generator(). Costs
+    a fraction of a fresh generator, which also seeds an unused
+    SeedSequence from OS entropy. The state setter copies the words one by
+    one, so they are given as Python ints, which convert to uint64 faster
+    than numpy scalars; the range check is RngStream's.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (stream.seed, stream.stream)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,12 +376,18 @@ def subset_rank(u: int, d: int, subset) -> int:
     arr = np.asarray(subset, dtype=np.int64)
     if arr.size != d or (np.diff(arr) <= 0).any() or arr[0] < 0 or arr[-1] >= u:
         raise ValueError("subset must be strictly increasing within range(u)")
+    return _subset_rank(u, d, arr.tolist())
+
+
+def _subset_rank(u: int, d: int, subset: list) -> int:
+    """subset_rank of a list of ints known to be a strictly increasing
+    d-subset of range(u), unchecked."""
     # The subsets that branch off below element at this position number
     # sum over skipped s of C(u - s - 1, left - 1), which the hockey-stick
     # identity telescopes to two binomials.
     rank = 0
     previous = -1
-    for position, element in enumerate(arr.tolist()):
+    for position, element in enumerate(subset):
         left = d - position
         rank += math.comb(u - previous - 1, left) - math.comb(u - element, left)
         previous = element

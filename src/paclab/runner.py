@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
-    _ADVERSARY_CHUNK,
+    _chunk_games,
     choose_parameters,
     run_adversary_trials,
     skew_for_domain,
@@ -420,10 +420,11 @@ def _run_lower_bound(config: ExperimentConfig, threads: int):
     if u < 2 * spec.d:
         raise ConfigError(f"adversary domain {u} too small for {spec.d} negatives")
 
-    starts = list(range(0, config.trials, _ADVERSARY_CHUNK))
+    step = _chunk_games(u)
+    starts = list(range(0, config.trials, step))
 
     def worker(start):
-        count = min(_ADVERSARY_CHUNK, config.trials - start)
+        count = min(step, config.trials - start)
         trials = run_adversary_trials(
             u, spec.d, spec.n, skew, count, RngStream(config.seed, start)
         )

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestRunAdversaryTrials:
     @pytest.mark.parametrize(
         "u, d, n, skew",
         [(20, 2, 200, 0.05), (23, 3, 2000, 0.0123), (40, 4, 10**6, 0.01), (60, 5, 5000, 0.002),
-         (11, 5, 10**6, 0.3)],
+         (11, 5, 10**6, 0.3), (7, 1, 300, 0.1)],
     )
     @pytest.mark.parametrize(
         "learner", [least_frequent_learner, truth_oracle_learner, fixed_prefix_learner],
@@ -309,6 +310,32 @@ class TestRunAdversaryTrials:
         marginals[30] = marginals[0]
         with pytest.raises(RuntimeError, match="closed form"):
             adversary._check_games(labels, truths, marginals, u, d, skew)
+
+    def test_a_stream_past_64_bits_is_rejected(self):
+        """Game 0 takes the last stream; game 1 would need stream 2^64."""
+        with pytest.raises(ValueError, match="stream must fit"):
+            run_adversary_trials(20, 2, 200, 0.05, 3, RngStream(1, 2**64 - 2))
+
+    def test_chunks_are_bounded_by_cells(self):
+        assert adversary._chunk_games(50) == 100
+        assert adversary._chunk_games(5242) == 100
+        assert adversary._chunk_games(20000) == 26
+        assert adversary._chunk_games(1_996_528) == 1
+
+    def test_a_wide_domain_holds_a_bounded_chunk(self):
+        """At u = 20000 a chunk stacks 26 games (about 14 MB traced), not
+        all 60 (30 MB), and its rows still equal the games played one by
+        one."""
+        u, d, n, skew, rng = 20000, 2, 10**5, 1e-3, RngStream(8, 1)
+        tracemalloc.start()
+        try:
+            trials = run_adversary_trials(u, d, n, skew, 60, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert trials == [play_one_game(u, d, n, skew, rng, j, least_frequent_learner)[0]
+                          for j in range(60)]
 
     def test_deterministic_per_stream(self):
         a = run_adversary_trials(20, 2, 200, 0.05, 8, RngStream(3, 10))

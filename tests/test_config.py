@@ -153,6 +153,13 @@ class TestParseErrors:
             "[experiment]\nkind = identities\nseed = abc\n", "integer", line=3
         )
 
+    def test_seed_must_fit_in_64_bits(self):
+        self.assert_fails(
+            f"[experiment]\nkind = identities\nseed = {2**64}\n", "at most", line=3
+        )
+        top = IDENTITIES_TEXT.replace("seed = 0", f"seed = {2**64 - 1}")
+        assert parse_config_text(top).seed == 2**64 - 1
+
     def test_section_kind_mismatch(self):
         self.assert_fails(
             IDENTITIES_TEXT + "\n[grid]\nn = 100\n", "not valid for kind"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from paclab import (
     subset_unrank,
     vc_dimension_bruteforce,
 )
+from paclab import core
 
 from conftest import hyp
 
@@ -39,6 +41,63 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((2**63, 0), (2**63 + 1, 0)), ((2**64 - 1, 0), (0, 0)),
+         ((0, 2**63), (0, 2**63 + 1)), ((5, 2**64 - 1), (5, 0))],
+    )
+    def test_keys_of_2_to_the_63_and_above_do_not_alias(self, a, b):
+        """Each half of the key is an exact 64-bit word, so neighbouring
+        seeds or streams from 2^63 up draw their own values, silently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws_a = RngStream(*a).generator().random(8)
+            draws_b = RngStream(*b).generator().random(8)
+        assert not np.array_equal(draws_a, draws_b)
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (42, 3), (2**63 - 1, 2**63 - 1)])
+    def test_keys_below_2_to_the_63_are_unchanged(self, seed, stream):
+        """Below 2^63 the uint64 key is the key numpy builds from a list of
+        ints, so every row drawn before keys became uint64 draws again."""
+        listed = np.random.Generator(np.random.Philox(key=[seed, stream])).random(8)
+        np.testing.assert_array_equal(RngStream(seed, stream).generator().random(8), listed)
+
+
+class TestRestart:
+    def test_a_used_generator_restarts_as_a_fresh_one(self):
+        """Mid-buffer, with a cached 32-bit half-word, a re-keyed generator
+        holds a fresh generator's state field for field and draws as it
+        does."""
+        gen = RngStream(3, 4).generator()
+        for _ in range(3):
+            gen.integers(0, 7)
+        gen.random(3)
+        used = gen.bit_generator.state
+        assert used["buffer_pos"] != 4 and used["has_uint32"] == 1
+        for seed, stream in [(9, 2), (2**64 - 1, 2**63 + 5)]:
+            target = RngStream(seed, stream)
+            core._restart(gen, target)
+            got, want = gen.bit_generator.state, target.generator().bit_generator.state
+            assert got.keys() == want.keys()
+            for field in want:
+                if field == "state":
+                    for word in ("counter", "key"):
+                        assert got["state"][word].dtype == want["state"][word].dtype
+                        np.testing.assert_array_equal(got["state"][word], want["state"][word])
+                elif field == "buffer":
+                    np.testing.assert_array_equal(got[field], want[field])
+                else:
+                    assert got[field] == want[field]
+            fresh = target.generator()
+            assert gen.integers(0, 7, size=5).tolist() == fresh.integers(0, 7, size=5).tolist()
+            np.testing.assert_array_equal(gen.random(5), fresh.random(5))
+            np.testing.assert_array_equal(
+                gen.multinomial(1000, [0.2, 0.3, 0.5]), fresh.multinomial(1000, [0.2, 0.3, 0.5])
+            )
+            assert gen.bit_generator.state["state"]["counter"].tolist() == (
+                fresh.bit_generator.state["state"]["counter"].tolist()
+            )
 
 
 class TestHypothesis:
