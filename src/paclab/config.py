@@ -43,6 +43,11 @@ _KIND_SECTIONS = {
 }
 
 
+_MAX_SAMPLES = 2**63 - 1
+"""Largest sample size n: numpy draws a sample's counts with int64 trial
+counts, and len() of a sample must fit a signed 64-bit index."""
+
+
 class ConfigError(Exception):
     """Config problem, carrying the offending line number when known."""
 
@@ -203,14 +208,22 @@ class _View:
             raise ConfigError(f"{key!r} must be finite, got {value!r}", line)
         return parsed
 
-    def integer_list(self, key: str) -> tuple[int, ...] | None:
+    def integer_list(
+        self, key: str, minimum: int | None = None, maximum: int | None = None
+    ) -> tuple[int, ...] | None:
         if key not in self.raw:
             return None
         value, line = self.raw[key]
         try:
-            return tuple(int(piece.strip()) for piece in value.split(","))
+            parsed = tuple(int(piece.strip()) for piece in value.split(","))
         except ValueError:
             raise ConfigError(f"{key!r} must be comma-separated integers", line) from None
+        for item in parsed:
+            if minimum is not None and item < minimum:
+                raise ConfigError(f"{key!r} values must be at least {minimum}, got {item}", line)
+            if maximum is not None and item > maximum:
+                raise ConfigError(f"{key!r} values must be at most {maximum}, got {item}", line)
+        return parsed
 
     def real_list(self, key: str) -> tuple[float, ...] | None:
         if key not in self.raw:
@@ -306,12 +319,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 continue
             fixture_params[key] = _coerce_number(value, key, line)
         grid = _View(entries, "grid")
-        grid_n = grid.integer_list("n")
+        grid_n = grid.integer_list("n", minimum=3, maximum=_MAX_SAMPLES)
         if grid_n is None:
             raise ConfigError("missing required key 'n' in [grid]")
-        for value in grid_n:
-            if value < 3:
-                raise ConfigError(f"grid n values must be at least 3, got {value}")
         grid_tau = grid.real_list("tau")
         if grid_tau is not None:
             for value in grid_tau:
@@ -329,7 +339,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         d = view.integer("d", minimum=1)
         if d is None:
             raise ConfigError("missing required key 'd' in [adversary]")
-        n = view.integer("n", minimum=1)
+        n = view.integer("n", minimum=1, maximum=_MAX_SAMPLES)
         if n is None:
             raise ConfigError("missing required key 'n' in [adversary]")
         cap = view.integer("cap", minimum=3)

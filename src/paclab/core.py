@@ -6,9 +6,10 @@ distribution assigns mass to every (point, label) cell. A sample is either
 an ordered Dataset or a CountTable of its cells; SamplePieces hands a sample
 out as contiguous pieces of tables, sliced from a Dataset or drawn from a
 distribution, a whole run of pieces per call (for drawn pieces, one
-multinomial call over the array of the run's sizes). Everything except
-SamplePieces is immutable after construction, so it can be shared freely
-across threads.
+multinomial call over the array of the run's sizes; a batch of drawn
+samples may share one generator, re-keyed to each sample's stream).
+Everything except SamplePieces is immutable after construction, so it can
+be shared freely across threads.
 
 Validation happens once, at the public boundary. The constructors of
 Hypothesis, HypothesisClass, DiscreteDistribution, Dataset and CountTable
@@ -589,7 +590,8 @@ class SamplePieces:
     the pieces already taken, the rest of an i.i.d. sample is independent
     of them, so drawn pieces have exactly the law of slicing n ordered
     draws, at O(domain) cost per piece whatever its size. Draws happen in
-    the order the pieces are taken.
+    the order the pieces are taken; drawn_batch makes samples that share
+    one generator and draw what each would from its own.
     """
 
     __slots__ = ("domain_size", "_draw", "_cursor", "_stop")
@@ -632,18 +634,55 @@ class SamplePieces:
         if n < 1:
             raise ValueError("need at least one sample")
         gen = rng.generator() if isinstance(rng, RngStream) else rng
-        flat = dist.mass.reshape(-1)
-        probabilities = flat / flat.sum()
+        probabilities = _cell_probabilities(dist)
         u = dist.domain_size
 
         def draw_run(start: int, sizes: list) -> np.ndarray:
-            # The same draws either way; numpy's array-n path costs about
-            # 11 µs more per call (2-core Xeon, 100 cells), which a one-piece
-            # run would pay for nothing.
-            n = sizes[0] if len(sizes) == 1 else sizes
-            return gen.multinomial(n, probabilities).reshape(len(sizes), u, 2)
+            return _multinomial_run(gen, probabilities, sizes, u)
 
         return cls(n, u, draw_run)
+
+    @classmethod
+    def drawn_batch(cls, dist: DiscreteDistribution, sizes, streams) -> list["SamplePieces"]:
+        """drawn(dist, n, stream) for each n of sizes and its stream, all
+        drawing from one generator.
+
+        Before a sample's first run the generator is re-keyed to the
+        sample's stream (_restart); before a later run it gets back the
+        state the sample's previous run left, saved then unless that run
+        took the sample's last samples. So every sample's tables equal
+        those of its own fresh generator, in whatever order the samples'
+        runs are taken, for a re-key and a saved state per sample instead of
+        a fresh generator. The samples share the generator, so one thread
+        draws them all.
+        """
+        if len(sizes) != len(streams):
+            raise ValueError(f"{len(sizes)} sample sizes for {len(streams)} streams")
+        if any(n < 1 for n in sizes):
+            raise ValueError("need at least one sample")
+        if not sizes:
+            return []
+        gen = streams[0].generator()
+        probabilities = _cell_probabilities(dist)
+        u = dist.domain_size
+
+        def pieces(n: int, stream: RngStream) -> "SamplePieces":
+            state = None
+
+            def draw_run(start: int, run_sizes: list) -> np.ndarray:
+                nonlocal state
+                if state is None:
+                    _restart(gen, stream)
+                else:
+                    gen.bit_generator.state = state
+                counts = _multinomial_run(gen, probabilities, run_sizes, u)
+                if start + sum(run_sizes) < n:
+                    state = gen.bit_generator.state
+                return counts
+
+            return cls(n, u, draw_run)
+
+        return [pieces(n, stream) for n, stream in zip(sizes, streams)]
 
     def __len__(self) -> int:
         """Samples not yet handed out."""
@@ -669,6 +708,22 @@ class SamplePieces:
         counts.setflags(write=False)
         self._cursor += total
         return [_trusted_table(piece, size) for piece, size in zip(counts, sizes)]
+
+
+def _cell_probabilities(dist: DiscreteDistribution) -> np.ndarray:
+    """The mass table's cells as multinomial probabilities, point-major."""
+    flat = dist.mass.reshape(-1)
+    return flat / flat.sum()
+
+
+def _multinomial_run(gen: np.random.Generator, probabilities, sizes: list, u: int) -> np.ndarray:
+    """The stacked (len(sizes), u, 2) counts of a run of drawn pieces: one
+    multinomial call over the array of their sizes."""
+    # The same draws either way; numpy's array-n path costs about 11 µs
+    # more per call (2-core Xeon, 100 cells), which a one-piece run would
+    # pay for nothing.
+    n = sizes[0] if len(sizes) == 1 else sizes
+    return gen.multinomial(n, probabilities).reshape(len(sizes), u, 2)
 
 
 def vc_dimension_bruteforce(klass: HypothesisClass, max_domain: int = 24) -> int:

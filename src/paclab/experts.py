@@ -18,13 +18,17 @@ A drawn sample thus costs two multinomial draws, however many rounds the
 loop runs.
 
 Training runs on a batch of samples (train_many); train and core_train are
-its batch of one. Every minimization step of the batch (the estimate
-third, each filtering round over the samples still in the loop, the
-nonempty holdout sides and the fit third) scores every sample's table with
-one product of the class against the stacked tables (engine.erm_many), and
-the validation errors of the whole batch are one call of the mistake
-kernel (core._mistake_products): both candidates of every sample against
-the stacked validation tables. A round that neither exits nor empties its
+its batch of one. Every minimization step of the batch scores every
+sample's table with one product of the class against the stacked tables
+(engine.erm_many): the estimate third; the first filtering round, which
+also scores every holdout and, in a batch of more than one, every fit
+third, all drawn before the loop starts; each later round over the
+samples still in the loop; and, for the samples that recorded a pair, the
+nonempty holdout sides. A sample without a pair fits its agreement side on
+the whole holdout, whose minimizer the first round found. The validation
+errors of the whole batch are one call of the mistake kernel
+(core._mistake_products): both candidates of every sample against the
+stacked validation tables. A round that neither exits nor empties its
 block runs the near-optimal filter and the pair search one sample at a
 time. Until a sample records a pair, its loop filters nothing: each block
 is its own kept table and the holdout is all agreement side.
@@ -255,21 +259,30 @@ def _core_train_many(parts, klass, d, delta, estimates, consts):
     for pieces, estimate in zip(parts, estimates):
         schedule, sizes = _filter_plan(len(pieces), d, delta, estimate, consts)
         runs.append(_FilterRun(schedule, pieces.take_many(sizes), estimate))
-    return _run_filters(runs, klass, d, delta, consts)
+    return _run_filters(runs, klass, d, delta, consts)[0]
 
 
-def _run_filters(runs, klass, d, delta, consts):
+def _run_filters(runs, klass, d, delta, consts, extra=()):
     """The filtering loops and holdout fits of a batch of _FilterRuns.
 
     Each step of the loop filters every sample still running and scores the
-    nonempty filtered blocks with one erm_many call; the holdout fits score
-    every nonempty side of every sample with one more. A sample without a
-    recorded pair filters nothing: its block is its own kept table, and its
-    holdout is all on the agreement side.
+    nonempty filtered blocks with one erm_many call. The first step's call
+    also scores every sample's holdout, whose minimizer is the
+    agreement-side fit of each sample that records no pair, and the extra
+    tables; one more call after the loop scores the nonempty sides of the
+    samples that recorded a pair. A sample without a recorded pair filters
+    nothing: its block is its own kept table, and its holdout is all on the
+    agreement side.
+
+    Returns the (classifier, trace) of every run and the erm_many results
+    of the extra tables.
     """
     u = klass.domain_size
     active = runs
     step = 1
+    # Scored with the first step's blocks.
+    unscored = [run.holdout for run in runs] + list(extra)
+    first_fits = []
     while active:
         scored = []
         for run in active:
@@ -280,12 +293,15 @@ def _run_filters(runs, klass, d, delta, consts):
                 run.reason = REASON_EMPTY_BLOCK
             else:
                 scored.append((run, kept))
-        minima = erm_many(klass, [kept for _, kept in scored])
+        minima = erm_many(klass, [kept for _, kept in scored] + unscored)
+        first_fits += minima[len(scored) :]
+        unscored = []
         for (run, kept), (_, min_error) in zip(scored, minima):
             run.finish_round(klass, step, kept, min_error, d, delta, consts)
         step += 1
         active = [run for run in active if run.reason is None and step <= len(run.blocks)]
 
+    holdout_fits, extra_fits = first_fits[: len(runs)], first_fits[len(runs) :]
     empty = _trusted_table(np.zeros((u, 2), dtype=np.int64), 0)
     sides = []
     for run in runs:
@@ -294,7 +310,8 @@ def _run_filters(runs, klass, d, delta, consts):
             sides.append((run.holdout.restrict(final_mask), run.holdout.restrict(~final_mask)))
         else:
             sides.append((run.holdout, empty))
-    fitted = iter(erm_many(klass, [side for pair in sides for side in pair if len(side)]))
+    pair_sides = [side for run, pair in zip(runs, sides) if run.selected for side in pair]
+    fitted = iter(erm_many(klass, [side for side in pair_sides if len(side)]))
 
     def fit_or_default(side):
         if len(side) == 0:
@@ -302,8 +319,11 @@ def _run_filters(runs, klass, d, delta, consts):
         return klass.hypothesis(next(fitted)[0]), False
 
     out = []
-    for run, (agree_side, disagree_side) in zip(runs, sides):
-        h_eq, eq_defaulted = fit_or_default(agree_side)
+    for run, (agree_side, disagree_side), (holdout_index, _) in zip(runs, sides, holdout_fits):
+        if run.selected:
+            h_eq, eq_defaulted = fit_or_default(agree_side)
+        else:
+            h_eq, eq_defaulted = klass.hypothesis(holdout_index), False
         h_neq, neq_defaulted = fit_or_default(disagree_side)
         trace = CoreTrace(
             records=tuple(run.records),
@@ -323,7 +343,7 @@ def _run_filters(runs, klass, d, delta, consts):
             consts=consts,
         )
         out.append((CompositeClassifier(tuple(run.selected), h_eq, h_neq), trace))
-    return out
+    return out, extra_fits
 
 
 @dataclass(frozen=True)
@@ -380,12 +400,14 @@ def train_many(
     each sample's pieces are taken in the same order as train takes them:
     the estimate third, then, once its schedule is known, every block, the
     holdout and the validation third as one run. So a drawn sample costs
-    two draws. The validation errors of the whole batch are one call of the
-    mistake kernel on the 2T stacked candidates and the T validation
-    tables, of which each sample reads its own two cells. A batch of one
-    runs its filtering step through core_train, on its run's tables, so a
-    call of train is also a call of core_train, as tools that time
-    core_train expect.
+    two draws. A batch of more than one scores its fit thirds in the first
+    filtering round's erm_many call. The validation errors of the whole
+    batch are one call of the mistake kernel on the 2T stacked candidates
+    and the T validation tables, of which each sample reads its own two
+    cells. A batch of one runs its filtering step through core_train, on
+    its run's tables, and scores its fit third on its own, so a call of
+    train is also a call of core_train, as tools that time core_train
+    expect.
     """
     pieces = [SamplePieces.of(data) for data in samples]
     if not pieces:
@@ -405,16 +427,17 @@ def train_many(
         *fit, validation = p.take_many(sizes + [len(p) - third])
         fits.append((schedule, fit))
         validations.append(validation)
-    if len(fits) == 1:
-        cores = [core_train(_replayed(fits[0][1]), klass, d, delta, estimates[0], consts)]
-    else:
-        runs = [_FilterRun(schedule, fit, e) for (schedule, fit), e in zip(fits, estimates)]
-        cores = _run_filters(runs, klass, d, delta, consts)
     fit_tables = [
         _trusted_table(sum(table.counts for table in fit), third)
         for (_, fit), third in zip(fits, thirds)
     ]
-    erm_indices = [index for index, _ in erm_many(klass, fit_tables)]
+    if len(fits) == 1:
+        cores = [core_train(_replayed(fits[0][1]), klass, d, delta, estimates[0], consts)]
+        fit_minima = erm_many(klass, fit_tables)
+    else:
+        runs = [_FilterRun(schedule, fit, e) for (schedule, fit), e in zip(fits, estimates)]
+        cores, fit_minima = _run_filters(runs, klass, d, delta, consts, fit_tables)
+    erm_indices = [index for index, _ in fit_minima]
 
     # Rows 2t and 2t + 1 are sample t's two candidates; each reads its own
     # sample's validation table, column t.

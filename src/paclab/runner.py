@@ -7,10 +7,12 @@ identity checks. Work is spread over a thread pool that gives each worker one
 task, a strided range of the work units, but every trial derives its
 randomness from (seed, global index), so results are identical at any
 thread count and rows are emitted in canonical order. A sweep's work unit
-is a contiguous range of at most _SWEEP_BATCH trials of one cell, trained
-as one batch (experts.train_many); an adversary unit is a chunk of games,
-an identity unit a chunk of instances. Most of a unit is numpy work that
-holds the GIL, so on two cores two threads gain little over one.
+is a batch of at most _SWEEP_BATCH trials of one fixture, at any of its
+grid n, trained as one batch (experts.train_many): a fixture's trials,
+cell by cell, split into the fewest contiguous batches of that size. An
+adversary unit is a chunk of games, an identity unit a chunk of
+instances. Most of a unit is numpy work that holds the GIL, so on two
+cores two threads gain little over one.
 
 Output is RFC-4180 CSV with LF endings: `#` metadata comments (version,
 kind, config hash, seed, one timestamp line that also carries the wall
@@ -19,14 +21,17 @@ a header row, then data. The timestamp line is the only part that varies
 between identical runs.
 
 A sweep trial never materializes its sample: the pieces the learner reads
-are drawn as count tables (core.SamplePieces.drawn), two multinomial draws
-per trial (the estimate third, then every other piece as one run), so
-sampling costs the same at any n. Each minimization step of a batch scores
+are drawn as count tables, two multinomial draws per trial (the estimate
+third, then every other piece as one run), so sampling costs the same at
+any n. A batch's samples share one generator, re-keyed to each trial's
+stream (core.SamplePieces.drawn_batch), so a trial draws what it would
+from a fresh generator of its own. Each minimization step of a batch scores
 all its trials with one product per row chunk of the class's label matrix
 (the mistake kernel, core._mistake_products), so a class of any size costs
 the batch one chunk of working memory. The validation errors of every
 trial in a batch are one call of the same kernel, and both true errors of
-every trial one stacked product.
+every trial one stacked product. The summary takes every cell's mean and
+95th percentile with one call each over the cells' stacked excesses.
 
 A grid n too small for the fixture's d, that is below 6(d + 1), where a
 trial's filter half would not exceed d, is a ConfigError.
@@ -102,11 +107,11 @@ ADVERSARY_COLUMNS = (
 IDENTITY_COLUMNS = ("check", "chunk", "instances", "max_abs_deviation", "failures")
 
 _SWEEP_BATCH = 16
-"""Most trials of one cell that a sweep trains as one batch, so a batch's
-tables and traces do not grow with the trial count. A batch holds about
-20 KB per trial of u = 50 while it trains; on sweep_accept's 50-trial cells
-(2 cores) batches of 16 and of 64 ran within noise of each other, and 64
-held 1.3 MB more at peak."""
+"""Most trials of one fixture, from any of its cells, that a sweep trains
+as one batch, so a batch's tables and traces do not grow with the trial
+count. A batch holds about 20 KB per trial of u = 50 while it trains; on
+sweep_accept's 50-trial cells (2 cores) batches of 16 and of 64 ran within
+noise of each other, and 64 held 1.3 MB more at peak."""
 
 
 @dataclass(frozen=True)
@@ -244,23 +249,25 @@ class _TrialOutcome:
 
 def _sweep_batch(
     config: ExperimentConfig,
-    cell: int,
     fixture: Fixture,
     floors: tuple[float, float],
-    n: int,
-    trials: range,
+    trials: list,
 ) -> list[_TrialOutcome]:
-    """Train a contiguous range of one cell's trials as one batch. Trial t
-    draws its sample from RngStream(seed, 1 + trial_id), as it would alone.
+    """Train trials of one fixture, given as (cell, n, trial) in cell order,
+    as one batch. Trial t of cell c draws its sample from
+    RngStream(seed, 1 + c * trials + t), as it would alone, and every
+    sample of the batch from one re-keyed generator
+    (core.SamplePieces.drawn_batch).
 
     Both true errors of every trial come from one pass over the stacked
     labels of the outputs and the ERM picks: per row, the same float sum
     as measures.true_error."""
-    trial_ids = [cell * config.trials + trial for trial in trials]
-    samples = [
-        SamplePieces.drawn(fixture.distribution, n, RngStream(config.seed, 1 + trial_id))
-        for trial_id in trial_ids
-    ]
+    trial_ids = [cell * config.trials + trial for cell, _, trial in trials]
+    samples = SamplePieces.drawn_batch(
+        fixture.distribution,
+        [n for _, n, _ in trials],
+        [RngStream(config.seed, 1 + trial_id) for trial_id in trial_ids],
+    )
     d = fixture.vc_dim
     tau_true, bayes_error = floors
     results = train_many(samples, fixture.klass, d, config.delta, config.constants)
@@ -275,8 +282,8 @@ def _sweep_batch(
     errors = np.where(labels == 1, mass[:, 0], mass[:, 1]).sum(axis=1).tolist()
 
     outcomes = []
-    for trial_id, result, trained_error, erm_error in zip(
-        trial_ids, results, errors[0::2], errors[1::2]
+    for (cell, n, _), trial_id, result, trained_error, erm_error in zip(
+        trials, trial_ids, results, errors[0::2], errors[1::2]
     ):
         rows = []
         for algorithm, error, reason, r in (
@@ -336,24 +343,41 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
         )
     floors = {tau: _error_floors(fixture) for tau, fixture in fixtures.items()}
 
-    # Each cell's trials split into the fewest contiguous ranges of at most
-    # _SWEEP_BATCH trials, of sizes that differ by at most one.
-    count = -(-config.trials // _SWEEP_BATCH)
-    bounds = [config.trials * i // count for i in range(count + 1)]
-    batches = [
-        (cell, tau, n, range(start, stop))
-        for cell, (tau, n) in enumerate(cells)
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    # Each fixture's trials, cell by cell, split into the fewest contiguous
+    # batches of at most _SWEEP_BATCH trials, of sizes that differ by at
+    # most one.
+    batches = []
+    for fixture_tau in fixtures:
+        trials = [
+            (cell, n, trial)
+            for cell, (tau, n) in enumerate(cells)
+            if tau == fixture_tau
+            for trial in range(config.trials)
+        ]
+        count = -(-len(trials) // _SWEEP_BATCH)
+        bounds = [len(trials) * i // count for i in range(count + 1)]
+        batches += [(fixture_tau, trials[start:stop]) for start, stop in zip(bounds, bounds[1:])]
 
     def worker(batch):
-        cell, tau, n, trials = batch
-        return _sweep_batch(config, cell, fixtures[tau], floors[tau], n, trials)
+        tau, trials = batch
+        return _sweep_batch(config, fixtures[tau], floors[tau], trials)
 
     per_cell = [[] for _ in cells]
-    for (cell, *_), outcomes in zip(batches, _ordered_map(worker, batches, threads)):
-        per_cell[cell] += outcomes
+    for (_, trials), outcomes in zip(batches, _ordered_map(worker, batches, threads)):
+        for (cell, _, _), outcome in zip(trials, outcomes):
+            per_cell[cell].append(outcome)
 
+    # Rows 2c and 2c + 1 are cell c's excesses of each algorithm; the mean
+    # and percentile of each row are those of that cell's excesses alone.
+    excesses = np.array(
+        [
+            [outcome.rows[position].excess_error for outcome in outcomes]
+            for outcomes in per_cell
+            for position in (0, 1)
+        ]
+    )
+    means = excesses.mean(axis=1).tolist()
+    p95s = np.percentile(excesses, 95, axis=1).tolist()
     rows = []
     trace_rows = []
     summary = []
@@ -364,9 +388,8 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
             trace_rows += outcome.trace_rows
         label = "tau=default" if tau is None else f"tau={tau:g}"
         for position, algorithm in enumerate(("disagreeing_experts", "erm")):
-            excesses = [outcome.rows[position].excess_error for outcome in outcomes]
-            mean = float(np.mean(excesses))
-            p95 = float(np.percentile(excesses, 95))
+            mean = means[2 * cell + position]
+            p95 = p95s[2 * cell + position]
             entry = {
                 "cell": cell,
                 "algorithm": algorithm,
@@ -386,8 +409,8 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
                 reasons = {reason: count for reason, count in reasons.items() if count}
                 pairs = sum(outcome.pairs for outcome in outcomes)
                 chose_core = sum(outcome.chose_core for outcome in outcomes)
-                rounds = float(np.mean([outcome.rounds for outcome in outcomes]))
-                improper = sum(excess < 0 for excess in excesses)
+                rounds = sum(outcome.rounds for outcome in outcomes) / len(outcomes)
+                improper = int((excesses[2 * cell] < 0).sum())
                 entry.update(
                     rounds=rounds, improper=improper,
                     break_reasons=reasons, pairs=pairs, chose_core=chose_core,

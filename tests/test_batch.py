@@ -409,3 +409,60 @@ class TestSweepBatches:
             assert row.r == single.trace.pair_count
             error = measures.true_error(single.output_hypothesis(), fixture.distribution)
             assert row.excess_error == error - row.tau_true
+
+
+class TestSweepBatchesAcrossCells:
+    """A batch holds trials of one fixture from any of its cells, so the
+    rows must not depend on how the cells' trials are grouped."""
+
+    TEXT = """\
+[experiment]
+kind = upper_sweep
+seed = 58
+trials = 5
+output = {rows}
+trace_output = {trace}
+
+[grid]
+n = 600, 3000
+tau = 0.1, 0.05, 0.1
+
+[fixture]
+family = dsubset_adversary
+d = 2
+alpha = 0.5
+"""
+
+    def test_rows_do_not_depend_on_grouping(self, tmp_path, monkeypatch):
+        """tau = 0.1 twice shares one fixture: 20 of its trials from four
+        cells, batched as 20 of 1, 7 of at most 3, or 2 of 10."""
+        config = parse_config_text(
+            self.TEXT.format(rows=tmp_path / "rows.csv", trace=tmp_path / "trace.csv")
+        )
+        outputs = []
+        for batch in (1, 3, 16):
+            for threads in ("1", "2"):
+                monkeypatch.setattr(runner, "_SWEEP_BATCH", batch)
+                monkeypatch.setenv("PACLAB_THREADS", threads)
+                result = runner.run(config)
+                outputs.append(
+                    (
+                        data_bytes(result.output_path),
+                        data_bytes(result.trace_path),
+                        result.summary,
+                        result.summary_lines,
+                    )
+                )
+        assert all(output == outputs[0] for output in outputs)
+
+        assert len(result.summary) == 2 * 6
+        for entry in result.summary:
+            excesses = [
+                row.excess_error
+                for row in result.rows
+                if row.cell == entry["cell"] and row.algorithm == entry["algorithm"]
+            ]
+            assert len(excesses) == 5
+            assert entry["p95_excess"] == float(np.percentile(excesses, 95))
+            assert entry["mean_excess"] == float(np.mean(excesses))
+        assert any(entry["p95_excess"] != 0 for entry in result.summary)

@@ -160,6 +160,19 @@ class TestParseErrors:
         top = IDENTITIES_TEXT.replace("seed = 0", f"seed = {2**64 - 1}")
         assert parse_config_text(top).seed == 2**64 - 1
 
+    def test_sample_sizes_must_fit_in_a_signed_64_bit_integer(self):
+        """numpy draws counts with int64 trial counts and len() of a sample
+        is a signed 64-bit index, so n >= 2**63 fails at the line."""
+        grid = SWEEP_TEXT.replace("3000, 10000", f"3000, {2**63}")
+        self.assert_fails(grid, f"'n' values must be at most {2**63 - 1}", line=12)
+        adversary = LOWER_TEXT.replace("n = 1000", f"n = {2**63}")
+        self.assert_fails(adversary, f"'n' must be at most {2**63 - 1}", line=10)
+        top = 2**63 - 1
+        assert parse_config_text(SWEEP_TEXT.replace("3000, 10000", f"3000, {top}")).grid_n == (
+            3000, top
+        )
+        assert parse_config_text(LOWER_TEXT.replace("n = 1000", f"n = {top}")).adversary.n == top
+
     def test_section_kind_mismatch(self):
         self.assert_fails(
             IDENTITIES_TEXT + "\n[grid]\nn = 100\n", "not valid for kind"
@@ -176,7 +189,7 @@ class TestParseErrors:
         self.assert_fails(text, "delta")
 
     def test_grid_n_too_small(self):
-        self.assert_fails(SWEEP_TEXT.replace("3000, 10000", "2, 10000"), "at least 3")
+        self.assert_fails(SWEEP_TEXT.replace("3000, 10000", "2, 10000"), "at least 3", line=12)
 
     def test_grid_tau_range(self):
         self.assert_fails(SWEEP_TEXT.replace("0.1, 0.2", "0.1, 1.2"), "tau")

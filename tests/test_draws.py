@@ -32,10 +32,12 @@ SIZES = (
 
 
 class CountingGenerator:
-    """A numpy Generator that counts its multinomial calls."""
+    """A numpy Generator that counts its multinomial calls; its bit
+    generator is the wrapped one's, so it can be re-keyed and restored."""
 
     def __init__(self, gen):
         self.gen = gen
+        self.bit_generator = gen.bit_generator
         self.calls = 0
 
     def multinomial(self, n, pvals):
@@ -121,6 +123,51 @@ class TestRunsOfPieces:
             SamplePieces.of(data).take_many([6, 5])
 
 
+class TestDrawnBatch:
+    """Samples sharing one re-keyed generator draw what fresh ones draw."""
+
+    STREAMS = ((823, 1), (823, 2), (2**64 - 1, 2**63), (5, 0))
+    SIZES = (10**6, 3 * 10**6 + 2, 10**9, 7)
+
+    def test_every_take_equals_a_fresh_generator_take(self):
+        """All estimate pieces first, then all runs, as train_many takes
+        them: a one-piece run (numpy's scalar-n path), then runs with a
+        zero-size piece, the last of which takes each sample's rest."""
+        dist = fixture().distribution
+        streams = [RngStream(*stream) for stream in self.STREAMS]
+        batch = SamplePieces.drawn_batch(dist, self.SIZES, streams)
+        fresh = [SamplePieces.drawn(dist, n, stream) for n, stream in zip(self.SIZES, streams)]
+        runs = [[n // 3] for n in self.SIZES]
+        runs += [[0, n // 6, n // 6] for n in self.SIZES]
+        runs += [[n - n // 3 - 2 * (n // 6), 0] for n in self.SIZES]
+        samples = list(range(len(self.SIZES))) * 3
+        for sample, sizes in zip(samples, runs):
+            got = batch[sample].take_many(sizes)
+            want = fresh[sample].take_many(sizes)
+            assert [len(table) for table in got] == sizes
+            for a, b in zip(got, want):
+                assert np.array_equal(a.counts, b.counts)
+        assert all(len(pieces) == 0 for pieces in batch)
+
+    def test_runs_of_one_sample_in_a_row_and_out_of_order(self):
+        """Runs of one sample in a row, and runs that come back to a sample
+        after other samples' runs, zero-size runs among them."""
+        dist = fixture().distribution
+        streams = [RngStream(9, 1 + t) for t in range(3)]
+        batch = SamplePieces.drawn_batch(dist, [900] * 3, streams)
+        fresh = [SamplePieces.drawn(dist, 900, stream) for stream in streams]
+        for sample, size in ((2, 100), (2, 50), (0, 300), (1, 1), (2, 0), (0, 600), (2, 750), (1, 899)):
+            assert np.array_equal(batch[sample].take(size).counts, fresh[sample].take(size).counts)
+
+    def test_sizes_and_streams_are_checked(self):
+        dist = fixture().distribution
+        assert SamplePieces.drawn_batch(dist, [], []) == []
+        with pytest.raises(ValueError, match="at least one"):
+            SamplePieces.drawn_batch(dist, [10, 0], [RngStream(1, 1), RngStream(1, 2)])
+        with pytest.raises(ValueError, match="2 sample sizes for 1 streams"):
+            SamplePieces.drawn_batch(dist, [10, 10], [RngStream(1, 1)])
+
+
 class TestDrawsPerTrial:
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_a_trained_sample_costs_two_draws(self, batch):
@@ -142,6 +189,8 @@ class TestDrawsPerTrial:
 
     @pytest.mark.parametrize("trials", [1, 3, 17])
     def test_a_sweep_trial_makes_two_multinomial_draws(self, tmp_path, monkeypatch, trials):
+        """One generator per batch of at most 16 trials of the fixture's two
+        cells, and two draws per trial: each trial needs at least two."""
         counters = []
         make = core.RngStream.generator
 
@@ -157,8 +206,8 @@ class TestDrawsPerTrial:
         )
         result = run(config)
         assert {row.break_reason for row in result.rows[::2]} == {"gamma_below_Zt"}
-        assert len(counters) == 2 * trials
-        assert [c.calls for c in counters] == [2] * (2 * trials)
+        assert len(counters) == -(-2 * trials // 16)
+        assert sum(c.calls for c in counters) == 2 * (2 * trials)
 
 
 class TestNoCycleHoldsASample:

@@ -361,6 +361,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "grid n = 12 is too small" in err and "n >= 6(d + 1) = 18" in err
 
+    @pytest.mark.parametrize("kind, line", [("grid", 8), ("adversary", 10)])
+    def test_run_reports_a_sample_size_beyond_64_bits(self, tmp_path, capsys, kind, line):
+        """n = 2**63 is a ConfigError at its line (exit 2), not an
+        OverflowError from numpy or len() (exit 1)."""
+        head = f"[experiment]\nseed = 1\ntrials = 2\noutput = {tmp_path / 'out.csv'}\n"
+        if kind == "grid":
+            text = head + (
+                f"kind = upper_sweep\n\n[grid]\nn = {2**63}\ntau = 0.1\n\n"
+                "[fixture]\nfamily = dsubset_adversary\nd = 2\n"
+            )
+        else:
+            text = head + f"kind = lower_bound\n\n[adversary]\nu = 50\nd = 2\nn = {2**63}\ncap = 576\n"
+        path = tmp_path / "huge.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and f"at most {2**63 - 1}, got {2**63}" in err
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == "paclab 0.1.0"
