@@ -172,9 +172,6 @@ class _View:
             if sec == section
         }
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.raw
-
     def string(self, key: str, default: str | None = None) -> str | None:
         if key not in self.raw:
             return default

@@ -4,10 +4,11 @@ Points are the integers 0..u-1 and labels live in {-1, +1}. Hypotheses are
 fixed label vectors, classes are ordered sets of hypotheses, and a joint
 distribution assigns mass to every (point, label) cell. A sample is either
 an ordered Dataset or a CountTable of its cells; SamplePieces hands a sample
-out as contiguous pieces of tables, sliced from a Dataset or drawn from a
-distribution, a whole run of pieces per call (for drawn pieces, one
-multinomial call over the array of the run's sizes; a batch of drawn
-samples may share one generator, re-keyed to each sample's stream).
+out as contiguous pieces of counts, sliced from a Dataset or drawn from a
+distribution, a whole run of pieces per call as one stacked array (drawn:
+one multinomial call over the array of the run's sizes, and a batch may
+share one generator, re-keyed to each sample's stream); take reads one
+piece as a CountTable.
 Everything except SamplePieces is immutable after construction, so it can
 be shared freely across threads.
 
@@ -578,14 +579,15 @@ def _cell_counts(points: np.ndarray, labels: np.ndarray, domain_size: int) -> np
 
 
 class SamplePieces:
-    """A sample of known size, handed out as contiguous pieces of count tables.
+    """A sample of known size, handed out as contiguous pieces of counts.
 
-    take_many(sizes) returns the tables of the next len(sizes) pieces, a run
-    of pieces, with one call of the source; take(size) is the run of one.
+    take_many(sizes) returns the stacked counts of the next len(sizes)
+    pieces, a run of pieces, with one call of the source, and wraps none of
+    them as a table; take(size) is the run of one, read as a CountTable.
     The pieces come either from an ordered Dataset by exact slicing (of),
     or are drawn from a distribution (drawn): a run is one multinomial call
     over the array of its sizes. numpy draws the trials of an array n one
-    after another from the same bit stream, so a run's tables, and the
+    after another from the same bit stream, so a run's counts, and the
     generator's state after it, equal those of one call per piece. Given
     the pieces already taken, the rest of an i.i.d. sample is independent
     of them, so drawn pieces have exactly the law of slicing n ordered
@@ -690,12 +692,12 @@ class SamplePieces:
 
     def take(self, size: int) -> CountTable:
         """The table of the next size samples."""
-        return self.take_many([size])[0]
+        return _trusted_table(self.take_many([size])[0], size)
 
-    def take_many(self, sizes) -> list[CountTable]:
-        """The tables of the next pieces of the given sizes, in order, with
-        one call of the source; each table carries its size, so none is
-        summed again."""
+    def take_many(self, sizes) -> np.ndarray:
+        """The read-only stacked (len(sizes), domain_size, 2) counts of the
+        next pieces of the given sizes, in order, with one call of the
+        source; row k counts the k-th piece, whose size is sizes[k]."""
         sizes = [int(size) for size in sizes]
         total = sum(sizes)
         if min(sizes, default=0) < 0:
@@ -703,11 +705,12 @@ class SamplePieces:
         if total > len(self):
             raise ValueError(f"cannot take {total} of {len(self)} remaining samples")
         if not sizes:
-            return []
-        counts = self._draw(self._cursor, sizes)
+            counts = np.zeros((0, self.domain_size, 2), dtype=np.int64)
+        else:
+            counts = self._draw(self._cursor, sizes)
+            self._cursor += total
         counts.setflags(write=False)
-        self._cursor += total
-        return [_trusted_table(piece, size) for piece, size in zip(counts, sizes)]
+        return counts
 
 
 def _cell_probabilities(dist: DiscreteDistribution) -> np.ndarray:

@@ -8,14 +8,17 @@ pairs agree there. The wrapper estimates the noise level on one third of the
 data, fits on the second, and validates against a plain minimizer on the
 rest.
 
-A sample reaches training as SamplePieces: contiguous pieces read as count
-tables, either sliced from an ordered Dataset or drawn at O(domain) cost
-per piece whatever the sample size. Nothing here draws randomness of its
-own; drawn pieces are drawn in the order they are taken. A sample is taken
-in two runs of pieces: the estimate third, then, once the estimate fixes
-the schedule, every filter block, the holdout and the validation third.
-A drawn sample thus costs two multinomial draws, however many rounds the
-loop runs.
+A sample reaches training as SamplePieces: contiguous pieces of counts,
+either sliced from an ordered Dataset or drawn at O(domain) cost per piece
+whatever the sample size. Nothing here draws randomness of its own; drawn
+pieces are drawn in the order they are taken. A sample is taken in two
+runs of pieces: the estimate third, then, once the estimate fixes the
+schedule, every filter block, the holdout and the validation third, as one
+stacked count array. A drawn sample thus costs two multinomial draws,
+however many rounds the loop runs. A piece of the second run becomes a
+count table only when a step reads it as one: the fit third is one sum
+over the stack, the validation thirds are its last rows, and a block the
+loop never reaches is drawn but never wrapped.
 
 Training runs on a batch of samples (train_many); train and core_train are
 its batch of one. Every minimization step of the batch scores every
@@ -182,14 +185,16 @@ def core_train(
     hypotheses. Blocks are contiguous; the last block absorbs the
     remainder. Every block is taken, in order, before the holdout, whether
     or not the loop reaches it: the blocks and the holdout are one run of
-    pieces. An empty filtered block ends the loop with its own reason
-    rather than aborting.
+    pieces, and a block becomes a table only when its round reads it. An
+    empty filtered block ends the loop with its own reason rather than
+    aborting.
 
     Returns the classifier and a trace recording every round.
     """
-    return _core_train_many(
-        [SamplePieces.of(data)], klass, d, delta, [err_estimate], consts
-    )[0]
+    pieces = SamplePieces.of(data)
+    schedule, sizes = _filter_plan(len(pieces), d, delta, err_estimate, consts)
+    run = _FilterRun(schedule, pieces.take_many(sizes), sizes, err_estimate)
+    return _run_filters([run], klass, d, delta, consts)[0][0]
 
 
 def _filter_plan(m: int, d, delta, err_estimate, consts) -> tuple[Schedule, list[int]]:
@@ -206,21 +211,21 @@ def _filter_plan(m: int, d, delta, err_estimate, consts) -> tuple[Schedule, list
 
 
 class _FilterRun:
-    """One sample's filtering loop while its batch runs: the tables it was
-    dealt and what its rounds have recorded so far. reason stays None while
-    the loop goes on."""
+    """One sample's filtering loop while its batch runs: the run of pieces
+    it was dealt and what its rounds have recorded so far. reason stays None
+    while the loop goes on."""
 
-    __slots__ = ("err_estimate", "half", "schedule", "blocks", "holdout", "records",
+    __slots__ = ("err_estimate", "half", "schedule", "counts", "sizes", "holdout", "records",
                  "selected", "selected_indices", "reason")
 
-    def __init__(self, schedule: Schedule, tables, err_estimate):
-        """tables are the run of pieces _filter_plan sized: the blocks, then
-        the holdout."""
+    def __init__(self, schedule: Schedule, counts: np.ndarray, sizes: list, err_estimate):
+        """counts are the stacked run of pieces _filter_plan sized (sizes):
+        the blocks, then the holdout."""
         self.err_estimate = err_estimate
         self.schedule = schedule
-        self.blocks = tables[:-1]
-        self.holdout = tables[-1]
-        self.half = sum(len(block) for block in self.blocks)
+        self.counts, self.sizes = counts, sizes
+        self.holdout = _trusted_table(counts[-1], sizes[-1])
+        self.half = sum(sizes[:-1])
         self.records: list[IterationRecord] = []
         self.selected: list[tuple[Hypothesis, Hypothesis]] = []
         self.selected_indices: list[tuple[int, int]] = []
@@ -235,7 +240,7 @@ class _FilterRun:
 
     def finish_round(self, klass, step, kept, min_error, d, delta, consts) -> None:
         """Exit, or record the round's near-optimal set and pair search."""
-        block_size = len(self.blocks[step - 1])
+        block_size = self.sizes[step - 1]
         if min_error <= self.schedule.exit_threshold:
             self.records.append(IterationRecord(step, block_size, kept, min_error, None, None))
             self.reason = REASON_EARLY_EXIT
@@ -250,16 +255,6 @@ class _FilterRun:
             return
         self.selected.append((klass.hypothesis(pair[0]), klass.hypothesis(pair[1])))
         self.selected_indices.append(pair)
-
-
-def _core_train_many(parts, klass, d, delta, estimates, consts):
-    """core_train on each SamplePieces of parts, with its own estimate: each
-    sample's blocks and holdout are taken as one run of pieces."""
-    runs = []
-    for pieces, estimate in zip(parts, estimates):
-        schedule, sizes = _filter_plan(len(pieces), d, delta, estimate, consts)
-        runs.append(_FilterRun(schedule, pieces.take_many(sizes), estimate))
-    return _run_filters(runs, klass, d, delta, consts)[0]
 
 
 def _run_filters(runs, klass, d, delta, consts, extra=()):
@@ -286,7 +281,8 @@ def _run_filters(runs, klass, d, delta, consts, extra=()):
     while active:
         scored = []
         for run in active:
-            block = run.blocks[step - 1]
+            # A block becomes a table only when its round reads it.
+            block = _trusted_table(run.counts[step - 1], run.sizes[step - 1])
             kept = run.kept(block, u)
             if len(kept) == 0:
                 run.records.append(IterationRecord(step, len(block), kept, None, None, None))
@@ -299,17 +295,17 @@ def _run_filters(runs, klass, d, delta, consts, extra=()):
         for (run, kept), (_, min_error) in zip(scored, minima):
             run.finish_round(klass, step, kept, min_error, d, delta, consts)
         step += 1
-        active = [run for run in active if run.reason is None and step <= len(run.blocks)]
+        active = [run for run in active if run.reason is None and step < len(run.sizes)]
 
     holdout_fits, extra_fits = first_fits[: len(runs)], first_fits[len(runs) :]
-    empty = _trusted_table(np.zeros((u, 2), dtype=np.int64), 0)
     sides = []
     for run in runs:
         if run.selected:
             final_mask = measures.agreement_points(run.selected, u)
             sides.append((run.holdout.restrict(final_mask), run.holdout.restrict(~final_mask)))
         else:
-            sides.append((run.holdout, empty))
+            # No pair, no disagreement side: an empty sequence of samples.
+            sides.append((run.holdout, ()))
     pair_sides = [side for run, pair in zip(runs, sides) if run.selected for side in pair]
     fitted = iter(erm_many(klass, [side for side in pair_sides if len(side)]))
 
@@ -400,13 +396,15 @@ def train_many(
     each sample's pieces are taken in the same order as train takes them:
     the estimate third, then, once its schedule is known, every block, the
     holdout and the validation third as one run. So a drawn sample costs
-    two draws. A batch of more than one scores its fit thirds in the first
-    filtering round's erm_many call. The validation errors of the whole
-    batch are one call of the mistake kernel on the 2T stacked candidates
-    and the T validation tables, of which each sample reads its own two
+    two draws. Each sample's fit third is the sum of its second run's
+    blocks and holdout, and its validation third is the run's last row.
+    A batch of more than one scores its fit thirds in the first filtering
+    round's erm_many call. The validation errors of the whole batch are one
+    call of the mistake kernel on the 2T stacked candidates and the T
+    stacked validation counts, of which each sample reads its own two
     cells. A batch of one runs its filtering step through core_train, on
-    its run's tables, and scores its fit third on its own, so a call of
-    train is also a call of core_train, as tools that time core_train
+    the counts its run drew, and scores its fit third on its own, so a call
+    of train is also a call of core_train, as tools that time core_train
     expect.
     """
     pieces = [SamplePieces.of(data) for data in samples]
@@ -415,44 +413,42 @@ def train_many(
     if any(len(p) < 3 for p in pieces):
         raise ValueError("need at least 3 samples to split in thirds")
     thirds = [len(p) // 3 for p in pieces]
+    validation_sizes = [len(p) - 2 * third for p, third in zip(pieces, thirds)]
     estimate_parts = [p.take(third) for p, third in zip(pieces, thirds)]
     estimates = [
         _clamped_estimate(error, third)
         for (_, error), third in zip(erm_many(klass, estimate_parts), thirds)
     ]
 
-    fits, validations = [], []
-    for p, third, estimate in zip(pieces, thirds, estimates):
-        schedule, sizes = _filter_plan(third, d, delta, estimate, consts)
-        *fit, validation = p.take_many(sizes + [len(p) - third])
-        fits.append((schedule, fit))
-        validations.append(validation)
-    fit_tables = [
-        _trusted_table(sum(table.counts for table in fit), third)
-        for (_, fit), third in zip(fits, thirds)
-    ]
-    if len(fits) == 1:
-        cores = [core_train(_replayed(fits[0][1]), klass, d, delta, estimates[0], consts)]
+    # Each sample's second run, one stacked count array: the blocks, the
+    # holdout, then the validation third.
+    plans = [_filter_plan(third, d, delta, e, consts) for third, e in zip(thirds, estimates)]
+    runs = [p.take_many(plan[1] + [size]) for p, plan, size in zip(pieces, plans, validation_sizes)]
+    fit_tables = [_trusted_table(run[:-1].sum(axis=0), third) for run, third in zip(runs, thirds)]
+    if len(runs) == 1:
+        replayed = _replayed(runs[0][:-1], plans[0][1])
+        cores = [core_train(replayed, klass, d, delta, estimates[0], consts)]
         fit_minima = erm_many(klass, fit_tables)
     else:
-        runs = [_FilterRun(schedule, fit, e) for (schedule, fit), e in zip(fits, estimates)]
-        cores, fit_minima = _run_filters(runs, klass, d, delta, consts, fit_tables)
+        filters = [_FilterRun(schedule, run[:-1], sizes, e)
+                   for (schedule, sizes), run, e in zip(plans, runs, estimates)]
+        cores, fit_minima = _run_filters(filters, klass, d, delta, consts, fit_tables)
     erm_indices = [index for index, _ in fit_minima]
 
     # Rows 2t and 2t + 1 are sample t's two candidates; each reads its own
-    # sample's validation table, column t.
+    # sample's validation counts, column t.
     core_labels = np.stack([classifier.tabulate().labels for classifier, _ in cores])
     rows = np.stack([core_labels, klass.matrix[erm_indices]], axis=1).reshape(2 * len(cores), -1)
-    products = _mistake_products(rows, np.stack([table.counts for table in validations]))
+    products = _mistake_products(rows, np.stack([run[-1] for run in runs]))
     scored = np.concatenate([block for _, block in products]).reshape(len(cores), 2, len(cores))
     paid = scored[np.arange(len(cores)), :, np.arange(len(cores))].tolist()
     results = []
-    for (core_classifier, trace), estimate, erm_index, validation, (core_paid, erm_paid) in zip(
-        cores, estimates, erm_indices, validations, paid
+    for (core_classifier, trace), estimate, erm_index, size, (core_paid, erm_paid) in zip(
+        cores, estimates, erm_indices, validation_sizes, paid
     ):
         erm_hypothesis = klass.hypothesis(erm_index)
-        validation_core = core_paid / len(validation)
-        validation_erm = erm_paid / len(validation)
+        validation_core = core_paid / size
+        validation_erm = erm_paid / size
         chose_core = validation_core <= validation_erm
         results.append(
             TrainResult(
@@ -470,19 +466,17 @@ def train_many(
     return results
 
 
-def _replayed(tables) -> SamplePieces:
-    """Pieces that hand out again the given consecutive tables, taken as
-    one run of exactly their sizes: the run a batch of one already drew,
-    for core_train to take."""
-    sizes = [len(table) for table in tables]
-    stacked = np.stack([table.counts for table in tables])
+def _replayed(counts: np.ndarray, sizes: list) -> SamplePieces:
+    """Pieces that hand back the given stacked counts of consecutive pieces
+    of the given sizes, taken as one run of exactly those sizes: the run a
+    batch of one already drew, for core_train to take."""
 
     def draw(start: int, run_sizes: list) -> np.ndarray:
         if start != 0 or run_sizes != sizes:
             raise ValueError("replayed pieces must be taken as one run of their sizes")
-        return stacked
+        return counts
 
-    return SamplePieces(sum(sizes), tables[0].domain_size, draw)
+    return SamplePieces(sum(sizes), counts.shape[1], draw)
 
 
 def _clamped_estimate(error: float, size: int) -> float:

@@ -221,9 +221,9 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
         params["tau"] = tau
     try:
         fixture = family(**params)
+        enumerate_class(fixture.klass)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fixture {config.fixture_family!r}: {exc}") from exc
-    enumerate_class(fixture.klass)
     return fixture
 
 

@@ -66,7 +66,7 @@ def reference_train(data, klass, d, delta, consts=DEFAULT_CONSTANTS):
     rounds = schedule.rounds
     base = half // rounds
     sizes = [base] * (rounds - 1) + [half - (rounds - 1) * base, m - half]
-    *blocks, holdout = fit_pieces = pieces.take_many(sizes)
+    *blocks, holdout = fit_pieces = [CountTable(counts) for counts in pieces.take_many(sizes)]
     part_fit = CountTable(sum(table.counts for table in fit_pieces))
 
     records, selected, reason = [], [], "completed"
@@ -287,6 +287,27 @@ class TestTrainMany:
             train_many([alternating(30, [1]), alternating(2, [1])], complement_pair_class, 1, 0.1)
 
 
+class TestTablesPerSample:
+    def test_a_round_one_batch_wraps_four_tables_per_sample(self, monkeypatch):
+        """The estimate third, the first block, the holdout and the fit
+        third. The later blocks, which a loop that exits at round 1 never
+        reads, and the validation third are drawn but not wrapped."""
+        wrapped = []
+        trusted = core._trusted_table
+
+        def counted(counts, size=None):
+            wrapped.append(size)
+            return trusted(counts, size)
+
+        monkeypatch.setattr(core, "_trusted_table", counted)
+        monkeypatch.setattr(experts, "_trusted_table", counted)
+        fixture = dsubset_adversary(tau=0.05, d=2)
+        results = train_many(drawn(fixture, 30_000, 41, 16)(), fixture.klass, fixture.vc_dim, 0.1)
+        assert {r.trace.break_reason for r in results} == {"gamma_below_Zt"}
+        assert all(r.trace.schedule.rounds > 1 for r in results)
+        assert len(wrapped) <= 4 * 16
+
+
 class TestCoreTrainMany:
     def test_empty_blocks_exits_and_pairs_in_one_batch(self, complement_pair_class):
         """More rounds than filter samples, an early exit and a recorded pair."""
@@ -295,10 +316,12 @@ class TestCoreTrainMany:
             (Dataset(np.zeros(100, dtype=np.int64), np.ones(100, dtype=np.int8), 2), 0.25),
             (alternating(20_000, [1]), 0.5),
         ]
-        batch = experts._core_train_many(
-            [SamplePieces.of(data) for data, _ in cases],
-            complement_pair_class, 1, 0.1, [e for _, e in cases], DEFAULT_CONSTANTS,
-        )
+        runs = []
+        for data, estimate in cases:
+            pieces = SamplePieces.of(data)
+            schedule, sizes = experts._filter_plan(len(pieces), 1, 0.1, estimate, DEFAULT_CONSTANTS)
+            runs.append(experts._FilterRun(schedule, pieces.take_many(sizes), sizes, estimate))
+        batch, _ = experts._run_filters(runs, complement_pair_class, 1, 0.1, DEFAULT_CONSTANTS)
         assert [trace.break_reason for _, trace in batch] == [
             "empty_Ti", "gamma_below_Zt", "completed"
         ]

@@ -60,10 +60,11 @@ class TestRunsOfPieces:
             batched = SamplePieces.drawn(dist, n, many)
             expected = [single.take(size) for size in sizes]
             got = batched.take_many(sizes)
-            assert len(got) == len(expected)
-            for x, y, size in zip(got, expected, sizes):
-                assert np.array_equal(x.counts, y.counts)
-                assert len(x) == len(y) == size == int(x.counts.sum())
+            assert got.shape == (len(sizes), dist.domain_size, 2)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            for row, table, size in zip(got, expected, sizes):
+                assert np.array_equal(row, table.counts)
+                assert len(table) == size == int(row.sum())
             assert len(single) == len(batched) == 5
             # The generators end in the same state.
             assert np.array_equal(one.integers(0, 2**62, 4), many.integers(0, 2**62, 4))
@@ -74,7 +75,7 @@ class TestRunsOfPieces:
         single = SamplePieces.drawn(dist, sum(sizes), RngStream(823, 1))
         batched = SamplePieces.drawn(dist, sum(sizes), RngStream(823, 1))
         expected = [single.take(size).counts for size in sizes]
-        got = [batched.take(sizes[0]).counts] + [t.counts for t in batched.take_many(sizes[1:])]
+        got = [batched.take(sizes[0]).counts] + list(batched.take_many(sizes[1:]))
         assert all(np.array_equal(x, y) for x, y in zip(got, expected))
         assert len(batched) == 0
 
@@ -83,11 +84,13 @@ class TestRunsOfPieces:
         data = sample_dataset(fixture().distribution, 1000, RngStream(3, 1))
         pieces = SamplePieces.of(data)
         start = 0
-        for table, size in zip(pieces.take_many(sizes), sizes):
+        run = pieces.take_many(sizes)
+        assert run.shape == (len(sizes), data.domain_size, 2) and not run.flags.writeable
+        for counts, size in zip(run, sizes):
             window = slice(start, start + size)
             expected = core.CountTable.of(data.take(window))
-            assert np.array_equal(table.counts, expected.counts)
-            assert len(table) == size
+            assert np.array_equal(counts, expected.counts)
+            assert int(counts.sum()) == size
             start += size
         assert len(pieces) == 1000 - sum(sizes)
 
@@ -99,9 +102,12 @@ class TestRunsOfPieces:
             return np.array([[[size, 0]] for size in sizes], dtype=np.int64)
 
         pieces = SamplePieces(10, 1, draw)
-        assert [len(t) for t in pieces.take_many([2, 0, 5])] == [2, 0, 5]
+        run = pieces.take_many([2, 0, 5])
+        assert run[:, 0, 0].tolist() == [2, 0, 5] and not run.flags.writeable
         assert len(pieces.take(3)) == 3
-        assert pieces.take_many([]) == []
+        empty = pieces.take_many([])
+        assert empty.shape == (0, 1, 2) and empty.dtype == np.int64
+        assert not empty.flags.writeable
         assert log == [(0, [2, 0, 5]), (7, [3])]
 
     def test_taking_past_the_end_is_rejected(self):
@@ -144,9 +150,8 @@ class TestDrawnBatch:
         for sample, sizes in zip(samples, runs):
             got = batch[sample].take_many(sizes)
             want = fresh[sample].take_many(sizes)
-            assert [len(table) for table in got] == sizes
-            for a, b in zip(got, want):
-                assert np.array_equal(a.counts, b.counts)
+            assert got.sum(axis=(1, 2)).tolist() == sizes
+            assert np.array_equal(got, want)
         assert all(len(pieces) == 0 for pieces in batch)
 
     def test_runs_of_one_sample_in_a_row_and_out_of_order(self):

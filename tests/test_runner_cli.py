@@ -51,6 +51,19 @@ family = {values["family"]}
     return parse_config_text(text)
 
 
+def over_cap_text(tmp_path):
+    """A sweep whose class, d = 3 at tau = 0.002, has 70,031,500 rows, past
+    the enumeration cap."""
+    return (
+        "[experiment]\nkind = upper_sweep\nseed = 1\ntrials = 2\n"
+        f"output = {tmp_path / 'out.csv'}\n\n[grid]\nn = 3000\ntau = 0.002\n\n"
+        "[fixture]\nfamily = dsubset_adversary\nd = 3\n"
+    )
+
+
+OVER_CAP_MESSAGE = "fixture 'dsubset_adversary': class of size 70031500 exceeds the enumeration cap"
+
+
 def read_csv(path):
     """Comment header lines and data rows, parsed separately."""
     comments, rows = [], []
@@ -252,6 +265,10 @@ class TestUpperSweep:
         with pytest.raises(ConfigError, match="fixture"):
             run(config)
 
+    def test_a_class_over_the_enumeration_cap_fails_cleanly(self, tmp_path):
+        with pytest.raises(ConfigError, match=OVER_CAP_MESSAGE):
+            run(parse_config_text(over_cap_text(tmp_path)))
+
     @pytest.mark.parametrize("n", ["3", "12", "17", "17, 3000"])
     def test_a_grid_n_too_small_for_the_fixture_fails_cleanly(self, tmp_path, n):
         """A trial needs (n // 3) // 2 > d, that is n >= 6(d + 1) = 18 at d = 2."""
@@ -360,6 +377,12 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "grid n = 12 is too small" in err and "n >= 6(d + 1) = 18" in err
+
+    def test_run_reports_a_class_over_the_enumeration_cap(self, tmp_path, capsys):
+        path = tmp_path / "over.cfg"
+        path.write_text(over_cap_text(tmp_path), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert OVER_CAP_MESSAGE in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, line", [("grid", 8), ("adversary", 10)])
     def test_run_reports_a_sample_size_beyond_64_bits(self, tmp_path, capsys, kind, line):
