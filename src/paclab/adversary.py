@@ -53,7 +53,6 @@ __all__ = [
     "least_frequent_learner",
     "is_failure",
     "run_adversary_trials",
-    "estimate_failure_probability",
     "low_count_threshold",
     "balls_low_count_rate",
 ]
@@ -219,19 +218,15 @@ def _check_games(
     return failed, wrong
 
 
-def is_failure(
-    h: Hypothesis, instance: AdversaryInstance, dist: DiscreteDistribution | None = None
-) -> bool:
+def is_failure(h: Hypothesis, instance: AdversaryInstance) -> bool:
     """Whether h misses at least half the truth points.
 
     Requires h to label exactly the instance's negative count of points
     negative. Cross-checks the closed form for h's error and the failure
-    premium against dist, the instance's distribution (built here when not
-    given), raising RuntimeError if either is violated. The batch of one of
-    the checks every game gets.
+    premium against the instance's distribution, raising RuntimeError if
+    either is violated. The batch of one of the checks every game gets.
     """
-    if dist is None:
-        dist = build_distribution(instance)
+    dist = build_distribution(instance)
     failed, _ = _check_games(
         h.labels[None],
         instance.truth_negative_points()[None],
@@ -330,23 +325,6 @@ def _play_chunk(
         AdversaryTrial(j, rank, bool(fail), float(error), opt_error, skew)
         for j, rank, fail, error in zip(indices, ranks, failed, errors)
     ]
-
-
-def estimate_failure_probability(
-    u: int,
-    d: int,
-    n: int,
-    skew: float,
-    trials: int,
-    rng: RngStream,
-    learner=least_frequent_learner,
-) -> tuple[float, float]:
-    """Failure rate of a learner against random truths, with standard error."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    results = run_adversary_trials(u, d, n, skew, trials, rng, learner)
-    rate = sum(t.failed for t in results) / trials
-    return rate, math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def low_count_threshold(n: int, p: float, m: int, k: int) -> float:

@@ -33,7 +33,7 @@ _SECTION_KEYS = {
     "fixture": None,
     "constants": {"dev_scale", "rounds_scale", "exit_scale"},
     "adversary": {"u", "tau", "d", "n", "cap", "skew"},
-    "identities": {"chunk_size", "tolerance"},
+    "identities": {"chunk_size"},
 }
 
 _KIND_SECTIONS = {
@@ -90,7 +90,6 @@ class ExperimentConfig:
     constants: TheoryConstants
     adversary: AdversarySpec | None
     chunk_size: int
-    tolerance: float
     source_text: str = field(repr=False)
     config_hash: str
 
@@ -297,7 +296,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     grid_tau = None
     adversary = None
     chunk_size = 250
-    tolerance = 1e-9
 
     if kind == "upper_sweep":
         fixture = _View(entries, "fixture")
@@ -343,17 +341,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if cap is None:
             raise ConfigError("missing required key 'cap' in [adversary]")
         skew = view.real("skew")
-        if skew is not None and not 0.0 <= skew < 1.0:
+        if skew is not None:
             _, line = view.raw["skew"]
-            raise ConfigError(f"'skew' must lie in [0, 1), got {skew}", line)
+            if tau is not None:
+                raise ConfigError("'skew' is chosen with u from 'tau'; give 'u' to fix 'skew'", line)
+            if not 0.0 <= skew < 1.0:
+                raise ConfigError(f"'skew' must lie in [0, 1), got {skew}", line)
         adversary = AdversarySpec(u, tau, d, n, cap, skew)
     else:
         view = _View(entries, "identities")
         chunk_size = view.integer("chunk_size", default=250, minimum=1)
-        tolerance = view.real("tolerance", default=1e-9)
-        if tolerance <= 0:
-            _, line = view.raw["tolerance"]
-            raise ConfigError(f"'tolerance' must be positive, got {tolerance}", line)
 
     canonical = canonicalize(entries)
     digest = format(fnv1a64(canonical.encode("utf-8")), "016x")
@@ -372,7 +369,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         constants=constants,
         adversary=adversary,
         chunk_size=chunk_size,
-        tolerance=tolerance,
         source_text=text,
         config_hash=digest,
     )

@@ -30,10 +30,11 @@ reads it, so no class keeps its labels in another dtype. The mistake
 kernel (_mistake_products) is the one code that turns labels into mistake
 counts: it casts the +1 entries of one row chunk of a label matrix at a
 time, so its working memory is one chunk whatever the matrix, for ERM
-(_least_mistakes), CountTable.mistakes (a class, a matrix or a vector)
-and the validation of a training batch. Elsewhere
-engine.pair_disagreements casts the candidate rows of the pair search and
-the worst-pair scan, and measures.row_errors the rows of its mass products.
+(_least_mistakes), CountTable.mistakes (a class, a matrix or a vector;
+the diagnostics pass their candidate rows as a matrix) and the validation
+of a training batch. Elsewhere engine.pair_disagreements casts the
+candidate rows of the pair search and the worst-pair scan, and
+measures.row_errors the rows of its mass products.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ times slower than the same product taken in steps of this size."""
 _KERNEL_OUTPUT_CELLS = 2**13
 """Rows x tables per step of the mistake kernel's product, so scoring a
 stack of tables holds one chunk of its output, never rows x tables."""
+
+_BRUTEFORCE_DOMAIN = 24
+"""Widest domain vc_dimension_bruteforce searches."""
 
 _FLOAT_EXACT = 2**53
 """Integers below this magnitude are exact in float64."""
@@ -150,11 +154,6 @@ class Hypothesis:
         """Evaluate at a point index or an array of point indices."""
         return self.labels[x]
 
-    def same_labels(self, other: "Hypothesis") -> bool:
-        return self.domain_size == other.domain_size and bool(
-            np.array_equal(self.labels, other.labels)
-        )
-
 
 def _require_signs(raw: np.ndarray, what: str) -> None:
     """Reject any raw entry that does not equal -1 or +1, before a cast can
@@ -204,10 +203,6 @@ class HypothesisClass:
         _init_class(self, mat, declared_vc)
 
     @classmethod
-    def from_hypotheses(cls, hypotheses, declared_vc: int | None = None) -> "HypothesisClass":
-        return cls(np.stack([h.labels for h in hypotheses]), declared_vc)
-
-    @classmethod
     def with_exact_negatives(cls, u: int, d: int) -> "HypothesisClass":
         """The family of all labelings with exactly d of u points negative.
 
@@ -241,25 +236,23 @@ class HypothesisClass:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Label matrix; materializes lazily under the default cap."""
+        """Label matrix; materializes lazily, at most DEFAULT_ENUMERATION_CAP
+        rows."""
         if self._matrix is None:
-            self._materialize(DEFAULT_ENUMERATION_CAP)
-        return self._matrix
-
-    def _materialize(self, cap: int) -> None:
-        size = self.size
-        if size > cap:
-            raise ValueError(
-                f"class of size {size} exceeds the enumeration cap of {cap}"
+            size = self.size
+            if size > DEFAULT_ENUMERATION_CAP:
+                raise ValueError(
+                    f"class of size {size} exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
+                )
+            u, d = self._negative_spec
+            negatives = np.fromiter(
+                chain.from_iterable(combinations(range(u), d)), dtype=np.intp, count=size * d
             )
-        u, d = self._negative_spec
-        negatives = np.fromiter(
-            chain.from_iterable(combinations(range(u), d)), dtype=np.intp, count=size * d
-        )
-        mat = np.ones((size, u), dtype=np.int8)
-        mat[np.repeat(np.arange(size), d), negatives] = -1
-        mat.setflags(write=False)
-        self._matrix = mat
+            mat = np.ones((size, u), dtype=np.int8)
+            mat[np.repeat(np.arange(size), d), negatives] = -1
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
 
     def hypothesis(self, index: int) -> Hypothesis:
         """Member at a canonical index, without forcing enumeration."""
@@ -294,10 +287,10 @@ def _checked_index(index, rows: int) -> np.ndarray:
     return index.astype(np.intp, copy=False)
 
 
-def _mistake_products(matrix: np.ndarray, counts: np.ndarray, index=None):
+def _mistake_products(matrix: np.ndarray, counts: np.ndarray):
     """Yield (a0, paid) for consecutive row chunks [a0, a1) of a -1/+1 label
-    matrix (of its rows at index): paid[i, t] is the mistake count of row
-    a0 + i on the t-th table of a (T, u, 2) stack of table counts.
+    matrix: paid[i, t] is the mistake count of row a0 + i on the t-th table
+    of a (T, u, 2) stack of table counts.
 
     With P = (matrix == 1), a row pays P·(c₋ − c₊) + Σc₊. The product is
     float64 while every table holds under 2**53 samples, so every partial
@@ -309,13 +302,9 @@ def _mistake_products(matrix: np.ndarray, counts: np.ndarray, index=None):
     dtype = np.float64 if counts.sum(axis=(1, 2)).max() < _FLOAT_EXACT else np.int64
     weights = np.ascontiguousarray((negative - positive).T, dtype=dtype)
     paid_positive = positive.sum(axis=1)
-    if index is not None:
-        index = _checked_index(index, matrix.shape[0])
-    rows = matrix.shape[0] if index is None else index.size
     step = max(1, min(_KERNEL_CHUNK_CELLS // matrix.shape[1], _KERNEL_OUTPUT_CELLS // len(counts)))
-    for a0 in range(0, rows, step):
-        block = matrix[a0 : a0 + step] if index is None else matrix[index[a0 : a0 + step]]
-        paid = (block == 1).astype(dtype) @ weights
+    for a0 in range(0, matrix.shape[0], step):
+        paid = (matrix[a0 : a0 + step] == 1).astype(dtype) @ weights
         paid += paid_positive
         yield a0, paid
 
@@ -347,10 +336,9 @@ def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisCla
     return klass
 
 
-def enumerate_class(klass: HypothesisClass, cap: int = DEFAULT_ENUMERATION_CAP) -> HypothesisClass:
-    """Force materialization of the label matrix, bounded by the cap."""
-    if not klass.is_enumerated:
-        klass._materialize(cap)
+def enumerate_class(klass: HypothesisClass) -> HypothesisClass:
+    """Force materialization of the label matrix (HypothesisClass.matrix)."""
+    klass.matrix
     return klass
 
 
@@ -541,16 +529,14 @@ class CountTable:
         """Occurrences of each point, labels merged."""
         return self.counts.sum(axis=1)
 
-    def mistakes(self, labels, index=None):
+    def mistakes(self, labels):
         """Mistake count of a label vector, or of each row of a label matrix
-        or member of a HypothesisClass, of those at index when given: rows
-        of the mistake kernel (_mistake_products) on this one table."""
+        or member of a HypothesisClass: rows of the mistake kernel
+        (_mistake_products) on this one table."""
         matrix = labels.matrix if isinstance(labels, HypothesisClass) else np.asarray(labels)
-        if matrix.ndim == 1 and index is not None:
-            raise ValueError("an index selects rows of a label matrix or class members")
         rows = matrix if matrix.ndim == 2 else matrix[None]
-        paid = np.empty(len(rows) if index is None else len(index), dtype=np.int64)
-        for a0, block in _mistake_products(rows, self.counts[None], index):
+        paid = np.empty(len(rows), dtype=np.int64)
+        for a0, block in _mistake_products(rows, self.counts[None]):
             paid[a0 : a0 + len(block)] = block[:, 0]
         return paid if matrix.ndim == 2 else paid[0]
 
@@ -729,16 +715,17 @@ def _multinomial_run(gen: np.random.Generator, probabilities, sizes: list, u: in
     return gen.multinomial(n, probabilities).reshape(len(sizes), u, 2)
 
 
-def vc_dimension_bruteforce(klass: HypothesisClass, max_domain: int = 24) -> int:
+def vc_dimension_bruteforce(klass: HypothesisClass) -> int:
     """Largest k such that some k points realize all 2**k labelings.
 
-    Exhaustive over point subsets, so the domain size is capped; large
-    combinatorial families should rely on declared_vc instead.
+    Exhaustive over point subsets, so the domain size is capped at
+    _BRUTEFORCE_DOMAIN points; large combinatorial families should rely on
+    declared_vc instead.
     """
     u = klass.domain_size
-    if u > max_domain:
+    if u > _BRUTEFORCE_DOMAIN:
         raise ValueError(
-            f"domain size {u} exceeds the brute-force limit of {max_domain}; "
+            f"domain size {u} exceeds the brute-force limit of {_BRUTEFORCE_DOMAIN}; "
             "use the class's declared_vc for known families"
         )
     mat = enumerate_class(klass).matrix

@@ -284,6 +284,13 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
     return None
 
 
+def _round_level(err_estimate: float, consts: TheoryConstants) -> float:
+    """make_schedule's round count before it is rounded up: it only grows as
+    the estimate falls, and may be inf."""
+    level = math.log(1.0 / err_estimate)
+    return consts.rounds_scale * level * _floored_log(level)
+
+
 def make_schedule(err_estimate: float, n: int, d: int, delta: float, consts: TheoryConstants = DEFAULT_CONSTANTS) -> Schedule:
     """Round count and exit threshold for a filtering run of n samples.
 
@@ -297,8 +304,7 @@ def make_schedule(err_estimate: float, n: int, d: int, delta: float, consts: The
         raise ValueError("need n > d >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    level = math.log(1.0 / err_estimate)
-    rounds = max(1, math.ceil(consts.rounds_scale * level * _floored_log(level)))
+    rounds = max(1, math.ceil(_round_level(err_estimate, consts)))
     log_ratio = _floored_log(n / d)
     exit_threshold = (
         consts.exit_scale * rounds * log_ratio**2 * (d * log_ratio + math.log(1.0 / delta)) / n

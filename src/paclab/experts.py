@@ -514,7 +514,6 @@ def diagnose_failure_events(
     trace: CoreTrace,
     klass: HypothesisClass,
     dist: DiscreteDistribution,
-    consts: TheoryConstants | None = None,
 ) -> FailureEventReport:
     """Compare each round's empirical quantities against the conditional truth.
 
@@ -526,7 +525,9 @@ def diagnose_failure_events(
     event does the same for the disagreement rate of every candidate pair. A
     single-member candidate set has no pairs, so its pair event is vacuously
     false. The allowance for each witness is taken at the smaller of its
-    true and empirical levels. Blocks of at most one sample are flagged.
+    true and empirical levels, under the trace's constants. The candidates'
+    errors are read off their label rows, with the mistake kernel and
+    measures.row_errors. Blocks of at most one sample are flagged.
 
     The worst witness is the one with the largest deviation in excess of its
     allowance; among equal excesses the lowest candidate position wins, and
@@ -537,14 +538,13 @@ def diagnose_failure_events(
     allowance falls below the allowance at level 0. No candidates x
     candidates array is formed.
     """
-    consts = consts if consts is not None else trace.consts
     matrix = enumerate_class(klass).matrix
     effective_n = trace.filter_half / trace.schedule.rounds
 
     def allowance(levels):
-        return deviation_bound(effective_n, trace.d, trace.delta, levels, consts) / 32.0
+        return deviation_bound(effective_n, trace.d, trace.delta, levels, trace.consts) / 32.0
 
-    floor = _deviation_floor(effective_n, trace.d, trace.delta, consts) / 32.0
+    floor = _deviation_floor(effective_n, trace.d, trace.delta, trace.consts) / 32.0
     out = []
     for position, record in enumerate(trace.records):
         if record.candidates is None:
@@ -558,8 +558,8 @@ def diagnose_failure_events(
         cand = record.candidates
         cand_matrix = matrix[cand]
 
-        empirical = kept.mistakes(klass, cand) / m
-        truth = measures.row_errors(klass, cond, cand)
+        empirical = kept.mistakes(cand_matrix) / m
+        truth = measures.row_errors(cand_matrix, cond)
         deviations = np.abs(empirical - truth)
         allowances = allowance(np.minimum(empirical, truth))
         excess = deviations - allowances

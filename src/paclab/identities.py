@@ -6,7 +6,7 @@ agreement split, total-probability reconstruction of an error from its two
 conditionals, the averaging bound on the conditional optimum, the sample
 error decomposition through the difference-indicator split, and routing
 completeness of the composite classifier. All are exact up to floating
-point, so the tolerance is tight and any failure is a real defect.
+point, so the tolerance (1e-9) is tight and any failure is a real defect.
 
 Chunks are independently seeded, which lets the runner spread them over
 threads without changing any result.
@@ -163,13 +163,15 @@ _CHECK_FUNCTIONS = {
 
 CHECKS = tuple(_CHECK_FUNCTIONS)
 
+_TOLERANCE = 1e-9
+"""Largest deviation a check may show and still pass."""
 
-def run_identity_chunk(
-    seed: int, chunk: int, instances: int, tolerance: float = 1e-9
-) -> list[CheckAggregate]:
+
+def run_identity_chunk(seed: int, chunk: int, instances: int) -> list[CheckAggregate]:
     """Run every check on `instances` fresh random instances.
 
-    Returns one aggregate per check. The stream is derived from (seed,
+    Returns one aggregate per check; a deviation above _TOLERANCE counts as
+    a failure. The stream is derived from (seed,
     chunk), so chunks can run in any order or in parallel.
     """
     if instances < 1:
@@ -184,7 +186,7 @@ def run_identity_chunk(
             deviation = check(klass, dist, pair, gen)
             if deviation > worst[name]:
                 worst[name] = deviation
-            if deviation > tolerance:
+            if deviation > _TOLERANCE:
                 failures[name] += 1
     return [
         CheckAggregate(name, chunk, instances, worst[name], failures[name])

@@ -18,7 +18,6 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     HypothesisClass,
-    _checked_index,
     _trusted_class,
     _trusted_hypothesis,
     enumerate_class,
@@ -62,13 +61,12 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
     return float(np.where(h.labels == 1, mass[:, 0], mass[:, 1]).sum())
 
 
-def row_errors(rows, dist: DiscreteDistribution, index=None) -> np.ndarray:
+def row_errors(rows, dist: DiscreteDistribution) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
-    HypothesisClass, of those at index (integers inside the rows) when
-    given: one mass product per row."""
+    HypothesisClass: one mass product per row."""
     if isinstance(rows, HypothesisClass):
         rows = rows.matrix
-    positive = (rows if index is None else rows[_checked_index(index, len(rows))]) == 1
+    positive = rows == 1
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]
 
 

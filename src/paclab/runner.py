@@ -34,7 +34,9 @@ every trial one stacked product. The summary takes every cell's mean and
 95th percentile with one call each over the cells' stacked excesses.
 
 A grid n too small for the fixture's d, that is below 6(d + 1), where a
-trial's filter half would not exceed d, is a ConfigError.
+trial's filter half would not exceed d, is a ConfigError, and so is a
+rounds_scale that would give some trial more filtering rounds than its
+filter half has samples.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .adversary import (
 )
 from .config import ConfigError, ExperimentConfig, fnv1a64
 from .core import RngStream, SamplePieces, enumerate_class
+from .engine import _round_level
 from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
@@ -236,14 +239,12 @@ def _error_floors(fixture: Fixture) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _TrialOutcome:
-    """What a sweep keeps of one trial: its CSV rows and what the summary
-    counts."""
+    """What a sweep keeps of one trial: its CSV rows, whose learner row
+    holds its break reason and pair count and whose trace has one row per
+    round, and whether validation chose the routing classifier."""
 
     rows: tuple
     trace_rows: tuple
-    break_reason: str
-    pairs: int
-    rounds: int
     chose_core: bool
 
 
@@ -319,12 +320,7 @@ def _sweep_batch(
                     result.trace.break_reason if terminal else "",
                 )
             )
-        outcomes.append(
-            _TrialOutcome(
-                tuple(rows), tuple(trace_rows), result.trace.break_reason,
-                result.trace.pair_count, len(records), result.chose_core,
-            )
-        )
+        outcomes.append(_TrialOutcome(tuple(rows), tuple(trace_rows), result.chose_core))
     return outcomes
 
 
@@ -341,6 +337,17 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
             f"grid n = {min(config.grid_n)} is too small for fixture "
             f"{config.fixture_family!r} with d = {d}: need n >= 6(d + 1) = {6 * (d + 1)}"
         )
+    # Every round reads a block of the filter half, so no trial may get more
+    # rounds than that half has samples. The most rounds come from the
+    # smallest clamped estimate, 1 / (2 * third).
+    for n in config.grid_n:
+        third = n // 3
+        if _round_level(1.0 / (2 * third), config.constants) > third // 2:
+            raise ConfigError(
+                f"[constants] 'rounds_scale' = {config.constants.rounds_scale:g} gives a trial "
+                f"at grid n = {n} more filtering rounds than the {third // 2} samples of its "
+                "filter half"
+            )
     floors = {tau: _error_floors(fixture) for tau, fixture in fixtures.items()}
 
     # Each fixture's trials, cell by cell, split into the fewest contiguous
@@ -405,11 +412,11 @@ def _run_upper_sweep(config: ExperimentConfig, threads: int):
             if algorithm == "disagreeing_experts":
                 reasons = {reason: 0 for reason in BREAK_REASONS}
                 for outcome in outcomes:
-                    reasons[outcome.break_reason] += 1
+                    reasons[outcome.rows[0].break_reason] += 1
                 reasons = {reason: count for reason, count in reasons.items() if count}
-                pairs = sum(outcome.pairs for outcome in outcomes)
+                pairs = sum(outcome.rows[0].r for outcome in outcomes)
                 chose_core = sum(outcome.chose_core for outcome in outcomes)
-                rounds = sum(outcome.rounds for outcome in outcomes) / len(outcomes)
+                rounds = sum(len(outcome.trace_rows) for outcome in outcomes) / len(outcomes)
                 improper = int((excesses[2 * cell] < 0).sum())
                 entry.update(
                     rounds=rounds, improper=improper,
@@ -492,7 +499,7 @@ def _run_identities(config: ExperimentConfig, threads: int):
 
     def worker(chunk):
         count = min(config.chunk_size, config.trials - chunk * config.chunk_size)
-        return run_identity_chunk(config.seed, chunk, count, config.tolerance)
+        return run_identity_chunk(config.seed, chunk, count)
 
     batches = _ordered_map(worker, list(range(chunk_count)), threads)
     rows = [

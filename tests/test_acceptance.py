@@ -68,7 +68,7 @@ class TestCriterion1Identities:
         start = time.perf_counter()
         aggregates = []
         for chunk in range(4):
-            aggregates.extend(run_identity_chunk(2026, chunk, 250, tolerance=1e-9))
+            aggregates.extend(run_identity_chunk(2026, chunk, 250))
         elapsed = time.perf_counter() - start
 
         failures = sum(a.failures for a in aggregates)

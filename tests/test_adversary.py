@@ -16,7 +16,6 @@ from paclab import (
     balls_low_count_rate,
     build_distribution,
     choose_parameters,
-    estimate_failure_probability,
     is_failure,
     least_frequent_learner,
     low_count_threshold,
@@ -202,22 +201,6 @@ class TestIsFailure:
         with pytest.raises(ValueError, match="exactly"):
             is_failure(Hypothesis(labels), instance)
 
-    def test_a_given_distribution_gives_the_same_answer(self):
-        for rank in range(math.comb(6, 2)):
-            instance = AdversaryInstance(6, 2, 0.2, rank)
-            dist = build_distribution(instance)
-            for negatives in range(math.comb(6, 2)):
-                labels = np.ones(6, dtype=np.int8)
-                labels[subset_unrank(6, 2, negatives)] = -1
-                h = Hypothesis(labels)
-                assert is_failure(h, instance, dist) == is_failure(h, instance)
-
-    def test_cross_checks_read_the_given_distribution(self):
-        instance = AdversaryInstance(10, 2, 0.2, 0)
-        other = build_distribution(AdversaryInstance(10, 2, 0.2, 5))
-        with pytest.raises(RuntimeError, match="closed form"):
-            is_failure(instance.truth_hypothesis(), instance, other)
-
 
 def play_one_game(u, d, n, skew, rng, j, learner):
     """Game j written out the per-game way: the instance's distribution and
@@ -229,7 +212,7 @@ def play_one_game(u, d, n, skew, rng, j, learner):
     dist = build_distribution(instance)
     table = SamplePieces.drawn(dist, n, gen).take(n)
     h = learner(table, instance)
-    failed = is_failure(h, instance, dist)
+    failed = is_failure(h, instance)
     error = float(dist.mass[np.flatnonzero(h.labels == -1), 1].sum())
     return AdversaryTrial(j, instance.truth_rank, failed, error, instance.opt_error, skew), table
 
@@ -376,12 +359,13 @@ class TestRunAdversaryTrials:
         assert len(ranks) > 1, "truth labelings never varied"
 
 
-class TestEstimateFailureProbability:
+class TestFailureRate:
     def test_truth_oracle_never_fails(self):
-        rate, stderr = estimate_failure_probability(
+        trials = run_adversary_trials(
             20, 2, 100, 0.05, 50, RngStream(6, 1), learner=truth_oracle_learner
         )
-        assert rate == 0.0 and stderr == 0.0
+        assert len(trials) == 50
+        assert not any(trial.failed for trial in trials)
 
     def test_fixed_learner_matches_hypergeometric_rate(self):
         """A data-blind learner fails per a closed-form overlap count.
@@ -391,16 +375,14 @@ class TestEstimateFailureProbability:
         concentrate near 185/210.
         """
         trials = 2000
-        rate, stderr = estimate_failure_probability(
+        games = run_adversary_trials(
             10, 4, 50, 0.1, trials, RngStream(7, 1), learner=fixed_prefix_learner
         )
+        rate = sum(game.failed for game in games) / trials
+        stderr = math.sqrt(rate * (1.0 - rate) / trials)
         expected = 185 / 210
         assert stderr > 0
         assert abs(rate - expected) <= 3 * stderr + 1e-9
-
-    def test_needs_at_least_one_trial(self):
-        with pytest.raises(ValueError, match="trial"):
-            estimate_failure_probability(10, 2, 50, 0.1, 0, RngStream(1, 1))
 
 
 class TestLowCountThreshold:

@@ -55,7 +55,6 @@ output = id.csv
 
 [identities]
 chunk_size = 100
-tolerance = 1e-8
 """
 
 
@@ -100,11 +99,9 @@ class TestParseConfigText:
     def test_identities_parse_and_defaults(self):
         config = parse_config_text(IDENTITIES_TEXT)
         assert config.chunk_size == 100
-        assert config.tolerance == 1e-8
         bare = IDENTITIES_TEXT.split("\n\n")[0]
         defaults = parse_config_text(bare)
         assert defaults.chunk_size == 250
-        assert defaults.tolerance == 1e-9
         assert defaults.threads is None
 
     def test_parse_config_file(self, tmp_path):
@@ -222,24 +219,19 @@ class TestParseErrors:
         )
 
     def test_removed_constants_are_unknown_keys(self):
-        for name in ("noise_scale", "sample_scale", "prob_scale"):
-            self.assert_fails(
-                SWEEP_TEXT.replace("dev_scale = 2.0", f"dev_scale = 2.0\n{name} = 64"),
-                f"unknown key '{name}' in \\[constants\\]",
-                line=20,
-            )
+        removed = [
+            (SWEEP_TEXT.replace("dev_scale = 2.0", f"dev_scale = 2.0\n{name} = 64"), name, "constants", 20)
+            for name in ("noise_scale", "sample_scale", "prob_scale")
+        ]
+        removed.append((IDENTITIES_TEXT + "tolerance = 1e-8\n", "tolerance", "identities", 9))
+        for text, name, section, line in removed:
+            self.assert_fails(text, f"unknown key '{name}' in \\[{section}\\]", line=line)
 
     def test_non_numeric_fixture_value(self):
         self.assert_fails(
             SWEEP_TEXT.replace("family = two_experts", "family = two_experts\ntau = abc"),
             "fixture key 'tau' must be numeric",
             line=17,
-        )
-
-    def test_nonpositive_tolerance(self):
-        self.assert_fails(
-            IDENTITIES_TEXT.replace("tolerance = 1e-8", "tolerance = 0"),
-            "positive",
         )
 
     def test_error_string_without_line(self):

@@ -128,10 +128,6 @@ class TestHypothesis:
         with pytest.raises(ValueError):
             h.labels[0] = -1
 
-    def test_same_labels(self):
-        assert hyp(1, -1).same_labels(hyp(1, -1))
-        assert not hyp(1, -1).same_labels(hyp(1, 1))
-
 
 class TestHypothesisClass:
     def test_rejects_duplicates_and_bad_entries(self):
@@ -152,11 +148,6 @@ class TestHypothesisClass:
             np.testing.assert_array_equal(klass.hypothesis(i).labels, klass.matrix[i])
         with pytest.raises(ValueError):
             klass.hypothesis(3)
-
-    def test_from_hypotheses_round_trip(self):
-        hs = [hyp(1, -1), hyp(-1, 1)]
-        klass = HypothesisClass.from_hypotheses(hs)
-        assert [h.labels.tolist() for h in klass] == [[1, -1], [-1, 1]]
 
 
 class TestExactNegativesFamily:
@@ -333,4 +324,4 @@ class TestVcDimensionBruteforce:
     def test_domain_guard_mentions_declared_dimension(self):
         klass = HypothesisClass.with_exact_negatives(30, 1)
         with pytest.raises(ValueError, match="declared_vc"):
-            vc_dimension_bruteforce(klass, max_domain=24)
+            vc_dimension_bruteforce(klass)

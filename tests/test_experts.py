@@ -312,7 +312,7 @@ class TestExactProgressReport:
         b = hyp(1, 1, 1, 1, 1, -1)
         c = hyp(1, 1, -1, 1, -1, 1)
         e = hyp(1, 1, 1, 1, -1, 1)
-        klass = HypothesisClass.from_hypotheses([a, b, c, e])
+        klass = HypothesisClass(np.stack([h.labels for h in (a, b, c, e)]))
         dist = DiscreteDistribution.uniform_deterministic(np.ones(6, dtype=np.int8))
         trace = make_trace(selected=[(a, b), (c, e)])
         report = exact_progress_report(trace, klass, dist)

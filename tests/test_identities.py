@@ -2,7 +2,7 @@
 
 import pytest
 
-from paclab import CHECKS, run_identity_chunk
+from paclab import CHECKS, identities, run_identity_chunk
 
 
 class TestRunIdentityChunk:
@@ -34,9 +34,10 @@ class TestRunIdentityChunk:
         assert all(x.chunk == 1 for x in a)
         assert all(x.chunk == 2 for x in b)
 
-    def test_impossible_tolerance_counts_failures(self):
+    def test_impossible_tolerance_counts_failures(self, monkeypatch):
         """A zero-width tolerance exercises the failure-counting path."""
-        aggregates = run_identity_chunk(seed=3, chunk=0, instances=50, tolerance=0.0)
+        monkeypatch.setattr(identities, "_TOLERANCE", 0.0)
+        aggregates = run_identity_chunk(seed=3, chunk=0, instances=50)
         assert sum(a.failures for a in aggregates) > 0
         for aggregate in aggregates:
             assert 0 <= aggregate.failures <= aggregate.instances

@@ -187,7 +187,7 @@ class TestSplitClass:
 
     def test_concept_against_its_negation(self):
         concept = hyp(1, -1, 1)
-        klass = HypothesisClass.from_hypotheses([concept, hyp(-1, 1, -1)])
+        klass = HypothesisClass(np.stack([concept.labels, hyp(-1, 1, -1).labels]))
         eq_list, neq_list = split_class(klass, klass.hypothesis(1), concept)
         assert eq_list[0].labels.tolist() == [1, 1, 1]
         assert neq_list[0].labels.tolist() == [-1, -1, -1]

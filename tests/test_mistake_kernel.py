@@ -95,16 +95,6 @@ class TestExactCounts:
         expected = reference_mistakes(enumerate_class(klass).matrix, counts)
         assert CountTable(counts).mistakes(klass).tolist() == expected.tolist()
 
-    def test_an_index_selects_matrix_rows_as_it_selects_class_members(self, chunking):
-        gen = RngStream(74, 1).generator()
-        for _ in range(100):
-            klass = random_class(gen)
-            table = CountTable(random_counts(gen, klass.domain_size, 10**9))
-            index = gen.integers(0, len(klass), size=int(gen.integers(1, 9)))
-            got = table.mistakes(klass.matrix, index)
-            assert got.shape == index.shape
-            assert got.tolist() == table.mistakes(klass, index).tolist()
-
     def test_a_table_beyond_float_precision_takes_the_integer_product(self):
         klass = HypothesisClass(np.array([[1, -1, 1], [-1, -1, 1], [1, 1, -1]], dtype=np.int8))
         counts = np.array([[2**53 + 1, 3], [5, 2**53 + 7], [1, 1]])
@@ -113,8 +103,9 @@ class TestExactCounts:
 
     @pytest.mark.parametrize("high", [5, 10**9, 2**55])
     def test_label_vectors_and_indexed_matrices(self, chunking, high):
-        """Vectors and indexed label matrices go through the same row chunks
-        as a class, on both the float64 and the int64 product."""
+        """Vectors and label matrices of selected class rows go through the
+        same row chunks as a class, on both the float64 and the int64
+        product."""
         gen = RngStream(77, high).generator()
         for _ in range(100):
             klass = random_class(gen)
@@ -122,7 +113,7 @@ class TestExactCounts:
             table = CountTable(counts)
             index = gen.integers(0, len(klass), size=int(gen.integers(0, 60)))
             expected = reference_mistakes(klass.matrix[index], counts)
-            got = table.mistakes(klass.matrix, index)
+            got = table.mistakes(klass.matrix[index])
             assert got.dtype == np.int64
             assert got.tolist() == expected.tolist()
             for row, want in zip(klass.matrix[index], expected.tolist()):
@@ -132,42 +123,28 @@ class TestExactCounts:
 def index_boundary_case():
     klass = HypothesisClass(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8))
     table = CountTable(np.ones((2, 2), dtype=np.int64))
-    return klass, table, DiscreteDistribution.uniform_deterministic([1, -1])
+    return klass, table
 
 
 class TestIndexBoundary:
-    """Every reader of a member index takes integers inside the class and
-    nothing else: a negative index would wrap to a member, a float would be
-    truncated to one, and one past the end would raise a bare IndexError."""
+    """The pair search takes member indices that are integers inside the
+    class and nothing else: a negative index would wrap to a member, a
+    float would be truncated to one, and one past the end would raise a
+    bare IndexError."""
 
     @pytest.mark.parametrize("index", [[-1], [4], [0, 4], [0.9, 2.7]])
     def test_bad_indices_are_rejected(self, index):
-        klass, table, dist = index_boundary_case()
-        for rows in (klass, klass.matrix):
-            with pytest.raises(ValueError, match="indices"):
-                table.mistakes(rows, index)
-            with pytest.raises(ValueError, match="indices"):
-                measures.row_errors(rows, dist, index)
+        klass, table = index_boundary_case()
         with pytest.raises(ValueError, match="indices"):
             find_disagreeing_pair(klass, index, table, 0.0)
 
     def test_an_empty_index_is_valid(self):
-        klass, table, dist = index_boundary_case()
-        for rows in (klass, klass.matrix):
-            assert table.mistakes(rows, []).tolist() == []
-            assert measures.row_errors(rows, dist, []).tolist() == []
+        klass, table = index_boundary_case()
         assert find_disagreeing_pair(klass, [], table, 0.0) is None
 
     def test_valid_indices_still_score(self):
-        klass, table, dist = index_boundary_case()
-        assert table.mistakes(klass, [3, 0]).tolist() == [2, 2]
-        assert measures.row_errors(klass, dist, [0, 2]).tolist() == [0.5, 1.0]
+        klass, table = index_boundary_case()
         assert find_disagreeing_pair(klass, [0, 2], table, 0.0) == (0, 2)
-
-    def test_an_index_on_a_label_vector_is_rejected(self):
-        klass, table, _ = index_boundary_case()
-        with pytest.raises(ValueError, match="index"):
-            table.mistakes(klass.matrix[0], [0])
 
 
 def one_round_trace(kept, candidates, filter_half):
@@ -230,16 +207,8 @@ class TestRowErrors:
             klass = random_class(gen)
             mass = gen.random((klass.domain_size, 2))
             dist = DiscreteDistribution(mass / mass.sum())
-            index = gen.integers(0, len(klass), size=int(gen.integers(1, 9)))
-            matrix = klass.matrix
             assert np.array_equal(
-                measures.row_errors(klass, dist), measures.row_errors(matrix, dist)
-            )
-            assert np.array_equal(
-                measures.row_errors(klass, dist, index), measures.row_errors(matrix[index], dist)
-            )
-            assert np.array_equal(
-                measures.row_errors(matrix, dist, index), measures.row_errors(klass, dist, index)
+                measures.row_errors(klass, dist), measures.row_errors(klass.matrix, dist)
             )
 
 

@@ -378,6 +378,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "grid n = 12 is too small" in err and "n >= 6(d + 1) = 18" in err
 
+    def test_run_reports_more_rounds_than_a_filter_half_has_samples(self, tmp_path, capsys):
+        """rounds_scale = 1e300 would lay out more blocks than fit in memory
+        (an OverflowError); it is a ConfigError before any trial draws."""
+        path = tmp_path / "rounds.cfg"
+        path.write_text(
+            "[experiment]\nkind = upper_sweep\nseed = 1\ntrials = 2\n"
+            f"output = {tmp_path / 'out.csv'}\n\n[grid]\nn = 3000\ntau = 0.1\n\n"
+            "[fixture]\nfamily = dsubset_adversary\nd = 2\n\n[constants]\nrounds_scale = 1e300\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'rounds_scale' = 1e+300" in err and "grid n = 3000" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_run_reports_a_skew_given_with_tau(self, tmp_path, capsys):
+        """tau chooses u and skew together, so a fixed skew beside it would
+        be ignored; it is a ConfigError at its line."""
+        path = tmp_path / "skew.cfg"
+        path.write_text(
+            "[experiment]\nkind = lower_bound\nseed = 1\ntrials = 2\n"
+            f"output = {tmp_path / 'out.csv'}\n\n"
+            "[adversary]\ntau = 0.05\nd = 2\nn = 1000\ncap = 576\nskew = 0.5\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 2
+        assert "line 12: 'skew'" in capsys.readouterr().err
+
     def test_run_reports_a_class_over_the_enumeration_cap(self, tmp_path, capsys):
         path = tmp_path / "over.cfg"
         path.write_text(over_cap_text(tmp_path), encoding="utf-8")

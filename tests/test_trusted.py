@@ -148,5 +148,3 @@ class TestPublicConstructorsKeepTheirChecks:
     def test_duplicate_rows(self):
         with pytest.raises(ValueError, match="duplicate"):
             HypothesisClass([[1, -1, 1], [-1, -1, 1], [1, -1, 1]])
-        with pytest.raises(ValueError, match="duplicate"):
-            HypothesisClass.from_hypotheses([Hypothesis([1, -1]), Hypothesis([1, -1])])
