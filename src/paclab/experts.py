@@ -622,7 +622,7 @@ def exact_progress_report(
     Record i holds the class's best error under the distribution conditioned
     on the first i-1 pairs agreeing, together with the original-distribution
     mass where any recorded pair among the first min(i, r) disagrees. Two
-    algebraic identities are asserted at each conditioning step (tolerance
+    algebraic identities are asserted at each conditioning step (to within
     1e-9, RuntimeError on violation): the pair's error sum decomposes across
     the agreement split, and the conditional optimum is at most the pair's
     average (the pair has equal errors there, also asserted). The geometric

@@ -6,7 +6,7 @@ agreement split, total-probability reconstruction of an error from its two
 conditionals, the averaging bound on the conditional optimum, the sample
 error decomposition through the difference-indicator split, and routing
 completeness of the composite classifier. All are exact up to floating
-point, so the tolerance (1e-9) is tight and any failure is a real defect.
+point, so a deviation above 1e-9 fails and any failure is a real defect.
 
 Chunks are independently seeded, which lets the runner spread them over
 threads without changing any result.
