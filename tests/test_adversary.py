@@ -194,6 +194,25 @@ class TestIsFailure:
         labels[[0, 5]] = -1
         assert is_failure(Hypothesis(labels), instance) is True
 
+    def test_every_labeling_fails_as_its_overlap_with_the_truth_says(self):
+        """Over every truth and every guess of (u, d) = (6, 2): a guess fails
+        exactly when it shares at most half the truth points, and its error
+        under the instance's distribution pays the premium when it does."""
+        for rank in range(math.comb(6, 2)):
+            instance = AdversaryInstance(6, 2, 0.2, rank)
+            dist = build_distribution(instance)
+            truth = set(instance.truth_negative_points().tolist())
+            for negatives in range(math.comb(6, 2)):
+                labels = np.ones(6, dtype=np.int8)
+                guess = subset_unrank(6, 2, negatives)
+                labels[guess] = -1
+                h = Hypothesis(labels)
+                overlap = len(truth.intersection(guess.tolist()))
+                assert is_failure(h, instance) is (2 * overlap <= 2)
+                if 2 * overlap <= 2:
+                    premium = instance.skew * 2 / (2 * 6)
+                    assert true_error(h, dist) >= instance.opt_error + premium - 1e-12
+
     def test_wrong_negative_count_rejected(self):
         instance = AdversaryInstance(10, 2, 0.2, 0)
         labels = np.ones(10, dtype=np.int8)

@@ -96,6 +96,11 @@ class TestParseConfigText:
         assert config.adversary.skew is None
         assert config.delta == 0.1
 
+    def test_lower_bound_with_u_keeps_a_given_skew(self):
+        config = parse_config_text(LOWER_TEXT.replace("tau = 0.05", "u = 23\nskew = 0.0123"))
+        assert (config.adversary.u, config.adversary.tau) == (23, None)
+        assert config.adversary.skew == 0.0123
+
     def test_identities_parse_and_defaults(self):
         config = parse_config_text(IDENTITIES_TEXT)
         assert config.chunk_size == 100
@@ -212,6 +217,19 @@ class TestParseErrors:
             LOWER_TEXT.replace("tau = 0.05", "tau = 0.05\nu = 40"), "exactly one"
         )
         self.assert_fails(LOWER_TEXT.replace("tau = 0.05\n", ""), "exactly one")
+
+    def test_skew_beside_tau(self):
+        """tau chooses u and skew together, so a skew beside it is refused at
+        its line rather than ignored."""
+        self.assert_fails(LOWER_TEXT + "skew = 0.5\n", "'skew' is chosen with u from 'tau'", line=12)
+
+    @pytest.mark.parametrize("skew", ["1.0", "-0.1"])
+    def test_skew_range(self, skew):
+        self.assert_fails(
+            LOWER_TEXT.replace("tau = 0.05", f"u = 23\nskew = {skew}"),
+            r"'skew' must lie in \[0, 1\)",
+            line=9,
+        )
 
     def test_nonpositive_constant(self):
         self.assert_fails(

@@ -95,6 +95,18 @@ class TestExactCounts:
         expected = reference_mistakes(enumerate_class(klass).matrix, counts)
         assert CountTable(counts).mistakes(klass).tolist() == expected.tolist()
 
+    def test_selected_rows_score_as_the_class_members_they_select(self, chunking):
+        """The diagnostics score their candidates as the rows they select
+        from the class's label matrix; each row pays what its member pays."""
+        gen = RngStream(74, 1).generator()
+        for _ in range(100):
+            klass = random_class(gen)
+            table = CountTable(random_counts(gen, klass.domain_size, 10**9))
+            index = gen.integers(0, len(klass), size=int(gen.integers(1, 9)))
+            got = table.mistakes(klass.matrix[index])
+            assert got.shape == index.shape
+            assert got.tolist() == table.mistakes(klass)[index].tolist()
+
     def test_a_table_beyond_float_precision_takes_the_integer_product(self):
         klass = HypothesisClass(np.array([[1, -1, 1], [-1, -1, 1], [1, 1, -1]], dtype=np.int8))
         counts = np.array([[2**53 + 1, 3], [5, 2**53 + 7], [1, 1]])
@@ -209,6 +221,23 @@ class TestRowErrors:
             dist = DiscreteDistribution(mass / mass.sum())
             assert np.array_equal(
                 measures.row_errors(klass, dist), measures.row_errors(klass.matrix, dist)
+            )
+
+    def test_selected_rows_equal_the_class_members_they_select(self):
+        """The diagnostics read their candidates' true errors off the rows
+        they select; each row's error is its member's. The mass product may
+        sum in another order for fewer rows, so only to rounding."""
+        gen = RngStream(78, 1).generator()
+        for _ in range(100):
+            klass = random_class(gen)
+            mass = gen.random((klass.domain_size, 2))
+            dist = DiscreteDistribution(mass / mass.sum())
+            index = gen.integers(0, len(klass), size=int(gen.integers(1, 9)))
+            np.testing.assert_allclose(
+                measures.row_errors(klass.matrix[index], dist),
+                measures.row_errors(klass, dist)[index],
+                rtol=0.0,
+                atol=1e-12,
             )
 
 

@@ -280,6 +280,18 @@ class TestUpperSweep:
         config = sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n="18")
         assert len(run(config).rows) == 2 * 3
 
+    def test_rounds_up_to_the_filter_half_run(self, tmp_path):
+        """At n = 18 the filter half has 3 samples and the smallest clamped
+        estimate, 1/12, gives rounds_scale * ln 12 rounds: 1.2 gives 3 and
+        runs, 1.21 would give 4 and is refused before any trial draws."""
+        def config(scale):
+            extra = f"\n[constants]\nrounds_scale = {scale}"
+            return sweep_config(tmp_path, family="dsubset_adversary", tau="0.1", n="18", extra=extra)
+
+        assert len(run(config(1.2)).rows) == 2 * 3
+        with pytest.raises(ConfigError, match="'rounds_scale' = 1.21 gives a trial at grid n = 18"):
+            run(config(1.21))
+
     def test_true_errors_match_true_error_per_trial(self, tmp_path):
         """The batch's stacked true errors equal measures.true_error on each
         trial's own train result, bit for bit."""
