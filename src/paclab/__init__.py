@@ -6,158 +6,25 @@ products, and conditioning renormalizes mass on an agreement region. On top
 of that sit the minimization engine, the disagreeing-pair training loop
 with its diagnostics, a hard-instance adversary for proper learners, and a
 config-driven experiment runner with reproducible seeded trials.
+
+The package re-exports every public name of its library modules; each
+module's __all__ is the one list of its public names. The runner, config
+and cli modules are imported only when used.
 """
 
 __version__ = "0.1.0"
 
-from .adversary import (
-    AdversaryInstance,
-    balls_low_count_rate,
-    build_distribution,
-    choose_parameters,
-    is_failure,
-    least_frequent_learner,
-    low_count_threshold,
-    run_adversary_trials,
-    skew_for_domain,
-)
-from .core import (
-    CountTable,
-    Dataset,
-    DiscreteDistribution,
-    Hypothesis,
-    HypothesisClass,
-    RngStream,
-    SamplePieces,
-    enumerate_class,
-    sample_dataset,
-    subset_rank,
-    subset_unrank,
-    vc_dimension_bruteforce,
-)
-from .engine import (
-    DEFAULT_CONSTANTS,
-    Schedule,
-    TheoryConstants,
-    deviation_bound,
-    erm,
-    erm_many,
-    erm_reference_rate,
-    find_disagreeing_pair,
-    make_schedule,
-    near_optimal_set,
-)
-from .experts import (
-    BREAK_REASONS,
-    REASON_COMPLETED,
-    REASON_EARLY_EXIT,
-    REASON_EMPTY_BLOCK,
-    REASON_NO_PAIR,
-    CompositeClassifier,
-    CoreTrace,
-    FailureEventReport,
-    IterationEvents,
-    IterationRecord,
-    ProgressRecord,
-    ProgressReport,
-    TrainResult,
-    core_train,
-    diagnose_failure_events,
-    exact_progress_report,
-    train,
-    train_many,
-)
-from .fixtures import (
-    Fixture,
-    available_fixtures,
-    dsubset_adversary,
-    realizable_uniform,
-    two_experts,
-)
-from .identities import CHECKS, run_identity_chunk
-from .measures import (
-    ConditioningResult,
-    condition_on_agreement,
-    condition_on_disagreement,
-    determinize,
-    empirical_disagreement,
-    empirical_error,
-    fraction_predicting_positive,
-    mass_predicting_positive,
-    row_errors,
-    split_class,
-    true_disagreement,
-    true_error,
-)
+from . import adversary, core, engine, experts, fixtures, identities, measures
+from .adversary import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .experts import *  # noqa: F401,F403
+from .fixtures import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "AdversaryInstance",
-    "balls_low_count_rate",
-    "build_distribution",
-    "choose_parameters",
-    "is_failure",
-    "least_frequent_learner",
-    "low_count_threshold",
-    "run_adversary_trials",
-    "skew_for_domain",
-    "CountTable",
-    "Dataset",
-    "DiscreteDistribution",
-    "Hypothesis",
-    "HypothesisClass",
-    "RngStream",
-    "SamplePieces",
-    "enumerate_class",
-    "sample_dataset",
-    "subset_rank",
-    "subset_unrank",
-    "vc_dimension_bruteforce",
-    "DEFAULT_CONSTANTS",
-    "Schedule",
-    "TheoryConstants",
-    "deviation_bound",
-    "erm",
-    "erm_many",
-    "erm_reference_rate",
-    "find_disagreeing_pair",
-    "make_schedule",
-    "near_optimal_set",
-    "BREAK_REASONS",
-    "REASON_COMPLETED",
-    "REASON_EARLY_EXIT",
-    "REASON_EMPTY_BLOCK",
-    "REASON_NO_PAIR",
-    "CompositeClassifier",
-    "CoreTrace",
-    "FailureEventReport",
-    "IterationEvents",
-    "IterationRecord",
-    "ProgressRecord",
-    "ProgressReport",
-    "TrainResult",
-    "core_train",
-    "diagnose_failure_events",
-    "exact_progress_report",
-    "train",
-    "train_many",
-    "Fixture",
-    "available_fixtures",
-    "dsubset_adversary",
-    "realizable_uniform",
-    "two_experts",
-    "CHECKS",
-    "run_identity_chunk",
-    "ConditioningResult",
-    "condition_on_agreement",
-    "condition_on_disagreement",
-    "determinize",
-    "empirical_disagreement",
-    "empirical_error",
-    "fraction_predicting_positive",
-    "mass_predicting_positive",
-    "row_errors",
-    "split_class",
-    "true_disagreement",
-    "true_error",
+__all__ = ["__version__"] + [
+    name
+    for module in (adversary, core, engine, experts, fixtures, identities, measures)
+    for name in module.__all__
 ]

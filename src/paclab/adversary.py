@@ -21,6 +21,10 @@ closed-form error and the failure premium) runs once per chunk as array
 operations (_check_games). is_failure is the batch of one of those same
 checks.
 
+The instance's tau, (1 - skew) d / u, is _opt_error, and its inverse in u
+is _domain_size; a game samples core._cell_probabilities, as every draw
+from a mass table does.
+
 Also includes the occupancy simulation used to bound how often sparse cells
 fall below their expected counts.
 """
@@ -37,6 +41,7 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     RngStream,
+    _cell_probabilities,
     _restart,
     _subset_rank,
     _trusted_hypothesis,
@@ -108,7 +113,18 @@ class AdversaryInstance:
     @property
     def opt_error(self) -> float:
         """Best attainable error: the mass the truth labeling still misses."""
-        return (1.0 - self.skew) * self.negatives / self.domain_size
+        return _opt_error(self.domain_size, self.negatives, self.skew)
+
+
+def _opt_error(u: int, d: int, skew: float) -> float:
+    """The hard instance's tau: the mass of the d truth points, which the
+    truth labeling still misses."""
+    return (1.0 - skew) * d / u
+
+
+def _domain_size(tau: float, d: int, skew: float) -> int:
+    """The domain size whose tau at this skew is nearest the target."""
+    return round((1.0 - skew) * d / tau)
 
 
 def _point_masses(u: int, d: int, skew: float) -> tuple[float, float]:
@@ -150,12 +166,12 @@ def choose_parameters(tau: float, d: int, n: int, cap: int) -> tuple[int, float]
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"target error must lie in (0, 1), got {tau}")
-    u = round(d / tau)
+    u = _domain_size(tau, d, 0.0)
     for _ in range(100):
         if u <= d:
             raise ValueError("parameters out of range")
         alpha = skew_for_domain(u, d, n, cap)
-        nxt = round((1.0 - alpha) * d / tau)
+        nxt = _domain_size(tau, d, alpha)
         if nxt == u:
             if u < 2 * d:
                 raise ValueError("parameters out of range")
@@ -199,7 +215,7 @@ def _check_games(
     overlap = np.count_nonzero(np.take_along_axis(negative, truths, axis=1), axis=1)
     failed = 2 * overlap <= d
 
-    opt_error = (1.0 - skew) * d / u
+    opt_error = _opt_error(u, d, skew)
     expected = opt_error + (d - overlap) * (skew / (u - d))
     wrong = np.take_along_axis(marginals, negatives, axis=1).sum(axis=1)
     broken = np.flatnonzero(np.abs(wrong - expected) > 1e-12)
@@ -300,9 +316,8 @@ def _play_chunk(
     # Per game only its draws, in their order, from one generator re-keyed
     # to the game's stream (the RngStream checks the stream's range): the
     # truth, then the sample from the mass table build_distribution makes,
-    # normalized as SamplePieces.drawn normalizes it.
+    # normalized by core._cell_probabilities as every draw normalizes it.
     mass = np.zeros((u, 2))
-    flat = mass.reshape(-1)
     gen = rng.generator()
     for k, j in enumerate(indices):
         _restart(gen, RngStream(rng.seed, rng.stream + 1 + j))
@@ -311,7 +326,7 @@ def _play_chunk(
         ranks.append(_subset_rank(u, d, truth))
         marginals[k, truth] = light
         mass[:, 1] = marginals[k]
-        counts[k] = gen.multinomial(n, flat / flat.sum()).reshape(u, 2)
+        counts[k] = gen.multinomial(n, _cell_probabilities(mass)).reshape(u, 2)
     counts.setflags(write=False)
 
     labels = np.empty((games, u), dtype=np.int8)
@@ -320,7 +335,7 @@ def _play_chunk(
         labels[k] = learner(_trusted_table(counts[k], n), instance).labels
 
     failed, errors = _check_games(labels, truths, marginals, u, d, skew)
-    opt_error = (1.0 - skew) * d / u
+    opt_error = _opt_error(u, d, skew)
     return [
         AdversaryTrial(j, rank, bool(fail), float(error), opt_error, skew)
         for j, rank, fail, error in zip(indices, ranks, failed, errors)

@@ -267,14 +267,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
     output = experiment.string("output")
     if output is None:
         raise ConfigError("missing required key 'output' in [experiment]")
+    # Only a sweep trains, so only a sweep reads delta or writes a trace.
+    for key in ("delta", "trace_output"):
+        if key in experiment.raw and kind != "upper_sweep":
+            _, line = experiment.raw[key]
+            raise ConfigError(f"{key!r} is only valid for kind 'upper_sweep'", line)
     delta = experiment.real("delta", default=0.1)
     if not 0.0 < delta < 1.0:
         _, line = experiment.raw["delta"]
         raise ConfigError(f"'delta' must lie in (0, 1), got {delta}", line)
     trace_output = experiment.string("trace_output")
-    if trace_output is not None and kind != "upper_sweep":
-        _, line = experiment.raw["trace_output"]
-        raise ConfigError("'trace_output' is only valid for kind 'upper_sweep'", line)
     threads = experiment.integer("threads", minimum=1)
 
     constants = TheoryConstants()

@@ -479,8 +479,8 @@ def sample_dataset(dist: DiscreteDistribution, n: int, rng) -> Dataset:
     if n < 1:
         raise ValueError("need at least one sample")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    flat = dist.mass.reshape(-1)
-    cells = gen.choice(flat.size, size=n, p=flat / flat.sum())
+    probabilities = _cell_probabilities(dist.mass)
+    cells = gen.choice(probabilities.size, size=n, p=probabilities)
     points = cells >> 1
     labels = np.where(cells & 1, 1, -1).astype(np.int8)
     return Dataset(points, labels, dist.domain_size)
@@ -622,7 +622,7 @@ class SamplePieces:
         if n < 1:
             raise ValueError("need at least one sample")
         gen = rng.generator() if isinstance(rng, RngStream) else rng
-        probabilities = _cell_probabilities(dist)
+        probabilities = _cell_probabilities(dist.mass)
         u = dist.domain_size
 
         def draw_run(start: int, sizes: list) -> np.ndarray:
@@ -651,7 +651,7 @@ class SamplePieces:
         if not sizes:
             return []
         gen = streams[0].generator()
-        probabilities = _cell_probabilities(dist)
+        probabilities = _cell_probabilities(dist.mass)
         u = dist.domain_size
 
         def pieces(n: int, stream: RngStream) -> "SamplePieces":
@@ -699,9 +699,10 @@ class SamplePieces:
         return counts
 
 
-def _cell_probabilities(dist: DiscreteDistribution) -> np.ndarray:
-    """The mass table's cells as multinomial probabilities, point-major."""
-    flat = dist.mass.reshape(-1)
+def _cell_probabilities(mass: np.ndarray) -> np.ndarray:
+    """A (u, 2) mass table's cells as multinomial probabilities,
+    point-major: what every draw from a mass table samples from."""
+    flat = mass.reshape(-1)
     return flat / flat.sum()
 
 

@@ -2,8 +2,9 @@
 
 Minimization is exact: mistakes are counted as integers and ties always
 resolve to the lowest class index. The bound formulas floor their inner
-logarithms at 1 so degenerate inputs stay positive and finite; the
-confidence term ln(1/delta) is never floored.
+logarithms at 1 (_floored_log, which the training loop's pair threshold
+and the progress report's decay factor also use) so degenerate inputs stay
+positive and finite; the confidence term ln(1/delta) is never floored.
 """
 
 from __future__ import annotations
@@ -85,18 +86,14 @@ def _additive_term(n, d, delta) -> float:
     return (d * _floored_log(n / d) + math.log(1.0 / delta)) / n
 
 
-def _deviation_floor(n, d, delta, consts: TheoryConstants = DEFAULT_CONSTANTS) -> float:
-    """deviation_bound at beta = 0: the same float, and no larger than the
-    bound at any beta, since rounding keeps root + additive >= additive."""
-    return consts.dev_scale * _additive_term(n, d, delta)
-
-
 def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTANTS):
     """Uniform deviation allowance at noise level beta.
 
     The allowance is a root term proportional to sqrt(beta) plus an additive
     term independent of beta, both shrinking with n. beta may be a scalar or
-    an array; beta = 0 contributes no root term at all.
+    an array; beta = 0 contributes no root term at all, so the bound at
+    beta = 0 is the least at any beta (rounding keeps root + additive >=
+    additive): the floor the worst-pair scan prunes against.
     """
     _validate_bound_inputs(n, d, delta)
     beta_arr = np.asarray(beta, dtype=np.float64)
@@ -296,7 +293,8 @@ def make_schedule(err_estimate: float, n: int, d: int, delta: float, consts: The
 
     The round count grows with the estimated noise level's log, with the
     iterated log floored at 1 and the whole count clamped to at least one
-    round. The exit threshold scales linearly with the round count.
+    round. The exit threshold scales linearly with the round count. A
+    round count that overflows to inf is a ValueError naming rounds_scale.
     """
     if not 0 < err_estimate < 1:
         raise ValueError("err_estimate must lie strictly between 0 and 1")
@@ -304,7 +302,13 @@ def make_schedule(err_estimate: float, n: int, d: int, delta: float, consts: The
         raise ValueError("need n > d >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    rounds = max(1, math.ceil(_round_level(err_estimate, consts)))
+    level = _round_level(err_estimate, consts)
+    if not math.isfinite(level):
+        raise ValueError(
+            f"rounds_scale = {consts.rounds_scale:g} gives an infinite round count "
+            f"at err_estimate = {err_estimate:g}"
+        )
+    rounds = max(1, math.ceil(level))
     log_ratio = _floored_log(n / d)
     exit_threshold = (
         consts.exit_scale * rounds * log_ratio**2 * (d * log_ratio + math.log(1.0 / delta)) / n

@@ -38,11 +38,12 @@ is its own kept table and the holdout is all agreement side.
 
 Every iteration keeps its filtered block's table on the trace, so the
 diagnostic functions can recompute conditional quantities exactly afterwards.
+The diagnostics take their allowances from engine.deviation_bound, and
+their floor is its value at level 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ from .engine import (
     DEFAULT_CONSTANTS,
     Schedule,
     TheoryConstants,
-    _deviation_floor,
+    _floored_log,
     deviation_bound,
     erm_many,
     find_disagreeing_pair,
@@ -199,14 +200,22 @@ def core_train(
 
 def _filter_plan(m: int, d, delta, err_estimate, consts) -> tuple[Schedule, list[int]]:
     """The schedule of a filtering run on m samples, and the sizes of its
-    pieces: each block, then the holdout half."""
+    pieces: each block, then the holdout half.
+
+    With more rounds than the filter half has samples every block but the
+    last is empty, and the loop stops at the first with REASON_EMPTY_BLOCK,
+    so such a plan lays out just one empty block and the whole half: the
+    same draws and the same trace, at any round count."""
     if m < 2:
         raise ValueError("need at least 2 samples to split in half")
     half = m // 2
     schedule = make_schedule(err_estimate, half, d, delta, consts)
     rounds = schedule.rounds
-    base_block = half // rounds
-    blocks = [base_block] * (rounds - 1) + [half - (rounds - 1) * base_block]
+    if rounds > half:
+        blocks = [0, half]
+    else:
+        base_block = half // rounds
+        blocks = [base_block] * (rounds - 1) + [half - (rounds - 1) * base_block]
     return schedule, blocks + [m - half]
 
 
@@ -247,7 +256,7 @@ class _FilterRun:
             return
         allowance = deviation_bound(self.half / self.schedule.rounds, d, delta, min_error, consts)
         candidates = near_optimal_set(klass, kept, min_error, allowance)
-        threshold = min_error / max(math.log(1.0 / min_error), 1.0)
+        threshold = min_error / _floored_log(1.0 / min_error)
         pair = find_disagreeing_pair(klass, candidates, kept, threshold)
         self.records.append(IterationRecord(step, block_size, kept, min_error, candidates, pair))
         if pair is None:
@@ -544,7 +553,7 @@ def diagnose_failure_events(
     def allowance(levels):
         return deviation_bound(effective_n, trace.d, trace.delta, levels, trace.consts) / 32.0
 
-    floor = _deviation_floor(effective_n, trace.d, trace.delta, trace.consts) / 32.0
+    floor = allowance(0.0)
     out = []
     for position, record in enumerate(trace.records):
         if record.candidates is None:
@@ -636,7 +645,7 @@ def exact_progress_report(
     pair_total = trace.pair_count
     best = base_error = float(np.min(measures.row_errors(klass, dist)))
     if base_error > 0:
-        decay_factor = 1.0 - 1.0 / (32.0 * max(math.log(1.0 / base_error), 1.0))
+        decay_factor = 1.0 - 1.0 / (32.0 * _floored_log(1.0 / base_error))
     else:
         decay_factor = 0.0
     marginal = dist.point_marginal()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AdversaryInstance, build_distribution
+from .adversary import AdversaryInstance, _domain_size, build_distribution
 from .core import DiscreteDistribution, HypothesisClass
 
 __all__ = [
@@ -90,7 +90,7 @@ def dsubset_adversary(
     if u is None:
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
-        u = round((1.0 - alpha) * d / tau)
+        u = _domain_size(tau, d, alpha)
     instance = AdversaryInstance(u, d, alpha, 0)
     klass = HypothesisClass.with_exact_negatives(u, d)
     dist = build_distribution(instance)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _KERNEL_CHUNK_CELLS,
     CountTable,
     DiscreteDistribution,
     Hypothesis,
@@ -55,15 +56,33 @@ def empirical_error(h: Hypothesis, data) -> float:
     return int(table.mistakes(h.labels)) / len(table)
 
 
+def _mislabeled_mass(labels: np.ndarray, mass: np.ndarray):
+    """Mass of the cells a label vector, or each row of a label matrix,
+    mislabels: one where-sum along the points, taken in point order."""
+    return np.where(labels == 1, mass[:, 0], mass[:, 1]).sum(axis=-1)
+
+
 def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
     """Exact mass of the (point, label) cells that h mislabels."""
-    mass = dist.mass
-    return float(np.where(h.labels == 1, mass[:, 0], mass[:, 1]).sum())
+    return float(_mislabeled_mass(h.labels, dist.mass))
+
+
+def _true_errors(rows: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
+    """true_error of each row of a nonempty (k, u) label matrix, bit for
+    bit, a row chunk of about _KERNEL_CHUNK_CELLS cells at a time, so its
+    working memory is one chunk whatever k. A row's sum does not depend on
+    the chunking. The sweep takes both sides of every excess from here:
+    the class minimum tau_true and the errors of the trained outputs."""
+    step = max(1, _KERNEL_CHUNK_CELLS // dist.domain_size)
+    return np.concatenate(
+        [_mislabeled_mass(rows[a0 : a0 + step], dist.mass) for a0 in range(0, len(rows), step)]
+    )
 
 
 def row_errors(rows, dist: DiscreteDistribution) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
-    HypothesisClass: one mass product per row."""
+    HypothesisClass: one mass product per row. Its last bit may differ
+    from true_error's, which sums in another order."""
     if isinstance(rows, HypothesisClass):
         rows = rows.matrix
     positive = rows == 1

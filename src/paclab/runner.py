@@ -29,9 +29,12 @@ from a fresh generator of its own. Each minimization step of a batch scores
 all its trials with one product per row chunk of the class's label matrix
 (the mistake kernel, core._mistake_products), so a class of any size costs
 the batch one chunk of working memory. The validation errors of every
-trial in a batch are one call of the same kernel, and both true errors of
-every trial one stacked product. The summary takes every cell's mean and
-95th percentile with one call each over the cells' stacked excesses.
+trial in a batch are one call of the same kernel. Both sides of every
+excess, the class minimum tau_true and the true errors of the trained
+outputs, come from one function, measures._true_errors, so an output
+equal to the optimum has an excess of exactly 0. The summary takes every
+cell's mean and 95th percentile with one call each over the cells'
+stacked excesses.
 
 A grid n too small for the fixture's d, that is below 6(d + 1), where a
 trial's filter half would not exceed d, is a ConfigError, and so is a
@@ -54,6 +57,7 @@ import numpy as np
 from . import __version__
 from .adversary import (
     _chunk_games,
+    _opt_error,
     choose_parameters,
     run_adversary_trials,
     skew_for_domain,
@@ -64,7 +68,7 @@ from .engine import _round_level
 from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
 from .identities import run_identity_chunk
-from .measures import row_errors
+from .measures import _true_errors
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -231,9 +235,12 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
 
 
 def _error_floors(fixture: Fixture) -> tuple[float, float]:
-    """The class minimum error (tau_true) and the Bayes error of a fixture."""
+    """The class minimum error (tau_true) and the Bayes error of a fixture.
+    tau_true is the least of the members' errors as measures._true_errors
+    gives them, the same floats as the trials' errors, so an output equal
+    to the optimum has an excess of exactly 0."""
     mass = fixture.distribution.mass
-    errors = row_errors(fixture.klass, fixture.distribution)
+    errors = _true_errors(fixture.klass.matrix, fixture.distribution)
     return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 
@@ -260,9 +267,9 @@ def _sweep_batch(
     sample of the batch from one re-keyed generator
     (core.SamplePieces.drawn_batch).
 
-    Both true errors of every trial come from one pass over the stacked
-    labels of the outputs and the ERM picks: per row, the same float sum
-    as measures.true_error."""
+    Both true errors of every trial come from one measures._true_errors
+    call on the stacked labels of the outputs and the ERM picks, the
+    function that gives tau_true."""
     trial_ids = [cell * config.trials + trial for cell, _, trial in trials]
     samples = SamplePieces.drawn_batch(
         fixture.distribution,
@@ -279,8 +286,7 @@ def _sweep_batch(
             for h in (result.output_hypothesis(), result.erm_hypothesis)
         ]
     )
-    mass = fixture.distribution.mass
-    errors = np.where(labels == 1, mass[:, 0], mass[:, 1]).sum(axis=1).tolist()
+    errors = _true_errors(labels, fixture.distribution).tolist()
 
     outcomes = []
     for (cell, n, _), trial_id, result, trained_error, erm_error in zip(
@@ -475,7 +481,7 @@ def _run_lower_bound(config: ExperimentConfig, threads: int):
     failures = sum(row[2] for row in rows)
     rate = failures / config.trials
     stderr = math.sqrt(rate * (1.0 - rate) / config.trials)
-    opt = (1.0 - skew) * spec.d / u
+    opt = _opt_error(u, spec.d, skew)
     summary = (
         {
             "failure_rate": rate,

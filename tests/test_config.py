@@ -186,9 +186,26 @@ class TestParseErrors:
         )
         self.assert_fails(text, "only valid for kind 'upper_sweep'")
 
-    def test_delta_range(self):
-        text = LOWER_TEXT.replace("output = lb.csv", "output = lb.csv\ndelta = 1.5")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            LOWER_TEXT.replace("output = lb.csv", "output = lb.csv\ndelta = 1.5"),
+            SWEEP_TEXT.replace("delta = 0.05", "delta = 1.5"),
+        ],
+        ids=["lower_bound", "upper_sweep"],
+    )
+    def test_delta_range(self, text):
         self.assert_fails(text, "delta")
+
+    @pytest.mark.parametrize("text", [LOWER_TEXT, IDENTITIES_TEXT], ids=["lower_bound", "identities"])
+    def test_delta_restricted_to_sweeps(self, text):
+        """Only a sweep trains, so delta elsewhere would change the config
+        hash and nothing else."""
+        self.assert_fails(
+            text.replace("\n\n[", "\ndelta = 0.05\n\n[", 1),
+            "'delta' is only valid for kind 'upper_sweep'",
+            line=6,
+        )
 
     def test_grid_n_too_small(self):
         self.assert_fails(SWEEP_TEXT.replace("3000, 10000", "2, 10000"), "at least 3", line=12)

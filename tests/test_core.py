@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -19,9 +21,30 @@ from paclab import (
     subset_unrank,
     vc_dimension_bruteforce,
 )
-from paclab import core
+import paclab
+from paclab import adversary, core, engine, experts, fixtures, identities, measures
 
 from conftest import hyp
+
+LIBRARY_MODULES = (adversary, core, engine, experts, fixtures, identities, measures)
+
+
+class TestPackage:
+    def test_all_is_the_library_modules_public_names(self):
+        names = [name for module in LIBRARY_MODULES for name in module.__all__]
+        assert len(set(names)) == len(names), "two modules export one name"
+        assert sorted(paclab.__all__) == sorted(["__version__"] + names)
+        for module in LIBRARY_MODULES:
+            for name in module.__all__:
+                assert getattr(paclab, name) is getattr(module, name)
+
+    def test_import_leaves_the_runner_config_and_cli_unloaded(self):
+        code = (
+            "import sys, paclab; "
+            "print(sorted(m for m in ('paclab.runner', 'paclab.config', 'paclab.cli') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRngStream:

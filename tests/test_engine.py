@@ -302,6 +302,12 @@ class TestMakeSchedule:
         with pytest.raises(ValueError, match="delta"):
             make_schedule(0.1, 1000, 5, 1.5)
 
+    def test_an_infinite_round_count_names_rounds_scale(self):
+        """rounds_scale = 1e308 times ln(100) * ln ln(100) overflows to inf,
+        which math.ceil cannot turn into a round count."""
+        with pytest.raises(ValueError, match="rounds_scale = 1e\\+308 gives an infinite round count"):
+            make_schedule(0.01, 10**4, 5, 0.1, TheoryConstants(rounds_scale=1e308))
+
 
 class TestScheduleAndConstants:
     def test_schedule_validation(self):

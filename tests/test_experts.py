@@ -167,6 +167,21 @@ class TestCoreTrain:
         assert record.block_size == 0 and len(record.kept) == 0
         assert record.min_error is None and record.candidates is None
 
+    def test_more_rounds_than_a_filter_half_can_hold_break_on_an_empty_block(self):
+        """A direct train call at rounds_scale = 1e300 schedules about 1e300
+        rounds for a filter half of 500 samples: its plan lays out one empty
+        block and the whole half, and the loop stops at the empty block."""
+        fixture = two_experts(0.2)
+        data = sample_dataset(fixture.distribution, 3000, RngStream(5))
+        result = train(data, fixture.klass, 1, 0.1, TheoryConstants(rounds_scale=1e300))
+        trace = result.trace
+        assert trace.schedule.rounds > 10**299
+        assert trace.break_reason == REASON_EMPTY_BLOCK
+        (record,) = trace.records
+        assert (record.step, record.block_size, len(record.kept)) == (1, 0, 0)
+        assert record.min_error is None and record.candidates is None
+        assert trace.filter_half == 500 and trace.holdout_half == 500
+
     def test_break_reason_vocabulary(self):
         assert BREAK_REASONS == (
             "completed",

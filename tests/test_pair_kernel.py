@@ -206,7 +206,7 @@ def diagnostics_allowance(trace):
     def allowance(levels):
         return deviation_bound(n, trace.d, trace.delta, levels, trace.consts) / 32.0
 
-    return allowance, engine._deviation_floor(n, trace.d, trace.delta, trace.consts) / 32.0
+    return allowance, deviation_bound(n, trace.d, trace.delta, 0.0, trace.consts) / 32.0
 
 
 def ordered_worst_pair(rows, counts, marginal, allowance):

@@ -8,15 +8,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from paclab import BREAK_REASONS, RngStream, SamplePieces, train, true_error
+from paclab import (
+    BREAK_REASONS,
+    DiscreteDistribution,
+    HypothesisClass,
+    RngStream,
+    SamplePieces,
+    train,
+    true_error,
+)
 from paclab.cli import main
 from paclab.config import ConfigError, parse_config_text
-from paclab.fixtures import FAMILIES, two_experts
+from paclab.fixtures import FAMILIES, Fixture, two_experts
 from paclab.runner import (
     ADVERSARY_COLUMNS,
     IDENTITY_COLUMNS,
     RESULT_COLUMNS,
     TRACE_COLUMNS,
+    _error_floors,
     _ordered_map,
     resolve_threads,
     run,
@@ -62,6 +71,19 @@ def over_cap_text(tmp_path):
 
 
 OVER_CAP_MESSAGE = "fixture 'dsubset_adversary': class of size 70031500 exceeds the enumeration cap"
+
+
+def random_mass_fixture(seed):
+    """A class of up to 19 distinct random rows over 4 to 11 points, under
+    gamma(1) masses: irregular masses, whose sums round differently in
+    different orders."""
+    rng = np.random.default_rng(seed)
+    u = int(rng.integers(4, 12))
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(int(rng.integers(2, 20)), u))
+    klass = HypothesisClass(np.unique(labels, axis=0))
+    mass = rng.gamma(1.0, size=(u, 2))
+    dist = DiscreteDistribution(mass / mass.sum())
+    return Fixture("random_mass", klass, dist, 1, min(true_error(h, dist) for h in klass))
 
 
 def read_csv(path):
@@ -305,6 +327,30 @@ class TestUpperSweep:
             learned, erm = result.rows[2 * trial : 2 * trial + 2]
             assert learned.excess_error == true_error(trained.output_hypothesis(), fixture.distribution) - tau_true
             assert erm.excess_error == true_error(trained.erm_hypothesis, fixture.distribution) - tau_true
+
+    @pytest.mark.parametrize("seed", [3, 4, 6])
+    def test_tau_true_is_the_least_member_true_error(self, seed):
+        """On these classes a mass product and the where-sum of true_error
+        give the optimum's error in different last bits."""
+        fixture = random_mass_fixture(seed)
+        tau_true, _ = _error_floors(fixture)
+        assert tau_true == fixture.opt_error
+
+    def test_an_output_equal_to_the_optimum_has_zero_excess(self, tmp_path, monkeypatch):
+        """Every trial of this class outputs its optimum, from both learners:
+        each excess is exactly 0.0, and no trial counts as improper."""
+        fixture = random_mass_fixture(4)
+        monkeypatch.setitem(FAMILIES, "two_experts", lambda **_: fixture)
+        result = run(sweep_config(tmp_path, tau="", n="3000", trials=4))
+        optimum = min(fixture.klass, key=lambda h: true_error(h, fixture.distribution))
+        for trial in range(4):
+            pieces = SamplePieces.drawn(fixture.distribution, 3000, RngStream(11, 1 + trial))
+            trained = train(pieces, fixture.klass, 1, 0.1)
+            assert trained.output_hypothesis().labels.tolist() == optimum.labels.tolist()
+            assert trained.erm_hypothesis.labels.tolist() == optimum.labels.tolist()
+        assert [row.excess_error for row in result.rows] == [0.0] * 8
+        assert result.summary[0]["improper"] == 0
+        assert " improper=0/4 " in result.summary_lines[0]
 
 
 class TestLowerBound:
