@@ -75,6 +75,11 @@ _ADVERSARY_CHUNK games; a domain wider than the budget plays one game per
 chunk."""
 
 
+_MAX_DOMAIN = 2**24
+"""Largest domain a lower-bound run plays on: one game at u = 2 * 10^6 held
+138 MB, so a game at 2^24 points stays near 1.2 GB."""
+
+
 def _chunk_games(u: int) -> int:
     """Games per chunk on a u-point domain."""
     return min(_ADVERSARY_CHUNK, max(1, _ADVERSARY_CHUNK_CELLS // u))

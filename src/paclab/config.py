@@ -1,9 +1,15 @@
 """Strict sectioned key-value experiment configs.
 
 The format is deliberately tiny: `[section]` headers, `key = value` lines,
-`#` comments, UTF-8. Every key is checked against the section's vocabulary
-and every section against the experiment kind, so a typo fails the parse
-with its line number instead of silently skewing a sweep. The parsed config
+`#` comments, UTF-8. Every key a user can write is one row of `_KEYS`,
+which says how its value parses (a string, an integer or a real, alone or
+as a comma list), the range it must lie in, its default, whether the kinds
+that take its section require it, whether only a sweep takes it, and
+whether it enters the hash; the free-form `[fixture]` section also takes
+numeric constructor arguments by any name. Every section is checked
+against the experiment kind, every key against the table, and every value
+against its row, so a typo or a value out of range fails the parse with
+its line number instead of silently skewing a sweep. The parsed config
 carries a hash of its canonicalized text for provenance in output files.
 """
 
@@ -11,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .engine import TheoryConstants
+from .adversary import _MAX_DOMAIN
+from .engine import DEFAULT_CONSTANTS, TheoryConstants
 from .fixtures import FAMILIES, available_fixtures
 
 __all__ = [
@@ -25,17 +33,6 @@ __all__ = [
     "parse_config_file",
 ]
 
-KINDS = ("upper_sweep", "lower_bound", "identities")
-
-_SECTION_KEYS = {
-    "experiment": {"kind", "seed", "trials", "output", "delta", "trace_output", "threads"},
-    "grid": {"n", "tau"},
-    "fixture": None,
-    "constants": {"dev_scale", "rounds_scale", "exit_scale"},
-    "adversary": {"u", "tau", "d", "n", "cap", "skew"},
-    "identities": {"chunk_size"},
-}
-
 _KIND_SECTIONS = {
     "upper_sweep": {"experiment", "grid", "fixture", "constants"},
     "lower_bound": {"experiment", "adversary"},
@@ -46,6 +43,58 @@ _KIND_SECTIONS = {
 _MAX_SAMPLES = 2**63 - 1
 """Largest sample size n: numpy draws a sample's counts with int64 trial
 counts, and len() of a sample must fit a signed 64-bit index."""
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one config key parses and where it applies.
+
+    type is str, int or float; many takes a comma list of that type. An
+    integer lies in [low, high] (None leaves a side open), a real passes
+    within, a (phrase, test) pair whose phrase completes "must ...".
+    required holds for every kind that takes the section; sweep_only keys
+    are refused by the other kinds; unhashed keys say only where or how wide
+    to run (output paths, thread count)."""
+
+    type: type = str
+    many: bool = False
+    low: int | None = None
+    high: int | None = None
+    within: tuple[str, Callable[[float], bool]] | None = None
+    default: object = None
+    required: bool = False
+    sweep_only: bool = False
+    hashed: bool = True
+
+
+_UNIT = ("lie in (0, 1)", lambda x: 0.0 < x < 1.0)
+_SCALE = ("be positive", lambda x: x > 0.0)
+
+_KEYS = {
+    ("experiment", "kind"): _Key(required=True),
+    ("experiment", "seed"): _Key(int, low=0, high=2**64 - 1, required=True),
+    ("experiment", "trials"): _Key(int, low=1, required=True),
+    ("experiment", "output"): _Key(required=True, hashed=False),
+    ("experiment", "delta"): _Key(float, within=_UNIT, default=0.1, sweep_only=True),
+    ("experiment", "trace_output"): _Key(sweep_only=True, hashed=False),
+    ("experiment", "threads"): _Key(int, low=1, hashed=False),
+    ("grid", "n"): _Key(int, many=True, low=3, high=_MAX_SAMPLES, required=True),
+    ("grid", "tau"): _Key(float, many=True, within=_UNIT),
+    ("fixture", "family"): _Key(required=True),
+    **{
+        ("constants", name): _Key(float, within=_SCALE, default=getattr(DEFAULT_CONSTANTS, name))
+        for name in ("dev_scale", "rounds_scale", "exit_scale")
+    },
+    ("adversary", "u"): _Key(int, low=2, high=_MAX_DOMAIN),
+    ("adversary", "tau"): _Key(float, within=_UNIT),
+    ("adversary", "d"): _Key(int, low=1, required=True),
+    ("adversary", "n"): _Key(int, low=1, high=_MAX_SAMPLES, required=True),
+    ("adversary", "cap"): _Key(int, low=3, required=True),
+    ("adversary", "skew"): _Key(float, within=("lie in [0, 1)", lambda x: 0.0 <= x < 1.0)),
+    ("identities", "chunk_size"): _Key(int, low=1, default=250),
+}
+
+_SECTIONS = {section: sorted(k for s, k in _KEYS if s == section) for section, _ in _KEYS}
 
 
 class ConfigError(Exception):
@@ -103,13 +152,6 @@ def fnv1a64(data: bytes) -> int:
     return value
 
 
-_PLACEMENT_KEYS = {
-    ("experiment", "output"),
-    ("experiment", "trace_output"),
-    ("experiment", "threads"),
-}
-
-
 def canonicalize(entries: dict[tuple[str, str], tuple[str, int]]) -> str:
     """Sorted section.key=value lines, one per present key.
 
@@ -120,7 +162,7 @@ def canonicalize(entries: dict[tuple[str, str], tuple[str, int]]) -> str:
     lines = [
         f"{section}.{key}={value}"
         for (section, key), (value, _) in entries.items()
-        if (section, key) not in _PLACEMENT_KEYS
+        if (section, key) not in _KEYS or _KEYS[section, key].hashed
     ]
     return "\n".join(sorted(lines))
 
@@ -134,10 +176,9 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(
-                    f"unknown section [{section}]; known: "
-                    + ", ".join(sorted(_SECTION_KEYS)),
+                    f"unknown section [{section}]; known: " + ", ".join(sorted(_SECTIONS)),
                     lineno,
                 )
             continue
@@ -147,232 +188,114 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         if section is None:
             raise ConfigError("key outside any [section]", lineno)
         key = key.strip()
-        value = value.strip()
-        allowed = _SECTION_KEYS[section]
-        if allowed is not None and key not in allowed:
+        # [fixture] also takes numeric constructor arguments by any name.
+        if section != "fixture" and (section, key) not in _KEYS:
             raise ConfigError(
-                f"unknown key {key!r} in [{section}]; known: " + ", ".join(sorted(allowed)),
+                f"unknown key {key!r} in [{section}]; known: " + ", ".join(_SECTIONS[section]),
                 lineno,
             )
         if (section, key) in entries:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
-        entries[(section, key)] = (value, lineno)
+        entries[(section, key)] = (value.strip(), lineno)
     return entries
 
 
-class _View:
-    """Typed access to one section's raw entries, tracking what was read."""
-
-    def __init__(self, entries, section: str):
-        self.section = section
-        self.raw = {
-            key: (value, line)
-            for (sec, key), (value, line) in entries.items()
-            if sec == section
-        }
-
-    def string(self, key: str, default: str | None = None) -> str | None:
-        if key not in self.raw:
-            return default
-        return self.raw[key][0]
-
-    def integer(
-        self, key: str, default=None, minimum: int | None = None, maximum: int | None = None
-    ):
-        if key not in self.raw:
-            return default
-        value, line = self.raw[key]
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise ConfigError(f"{key!r} must be an integer, got {value!r}", line) from None
-        if minimum is not None and parsed < minimum:
-            raise ConfigError(f"{key!r} must be at least {minimum}, got {parsed}", line)
-        if maximum is not None and parsed > maximum:
-            raise ConfigError(f"{key!r} must be at most {maximum}, got {parsed}", line)
-        return parsed
-
-    def real(self, key: str, default=None):
-        if key not in self.raw:
-            return default
-        value, line = self.raw[key]
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise ConfigError(f"{key!r} must be a number, got {value!r}", line) from None
-        if not math.isfinite(parsed):
-            raise ConfigError(f"{key!r} must be finite, got {value!r}", line)
-        return parsed
-
-    def integer_list(
-        self, key: str, minimum: int | None = None, maximum: int | None = None
-    ) -> tuple[int, ...] | None:
-        if key not in self.raw:
-            return None
-        value, line = self.raw[key]
-        try:
-            parsed = tuple(int(piece.strip()) for piece in value.split(","))
-        except ValueError:
-            raise ConfigError(f"{key!r} must be comma-separated integers", line) from None
-        for item in parsed:
-            if minimum is not None and item < minimum:
-                raise ConfigError(f"{key!r} values must be at least {minimum}, got {item}", line)
-            if maximum is not None and item > maximum:
-                raise ConfigError(f"{key!r} values must be at most {maximum}, got {item}", line)
-        return parsed
-
-    def real_list(self, key: str) -> tuple[float, ...] | None:
-        if key not in self.raw:
-            return None
-        value, line = self.raw[key]
-        try:
-            return tuple(float(piece.strip()) for piece in value.split(","))
-        except ValueError:
-            raise ConfigError(f"{key!r} must be comma-separated numbers", line) from None
+def _value(key: str, spec: _Key, raw: str, line: int):
+    """One entry's value, parsed and range-checked as its row says."""
+    if spec.type is str:
+        return raw
+    pieces = raw.split(",") if spec.many else [raw]
+    try:
+        values = [spec.type(piece.strip()) for piece in pieces]
+    except ValueError:
+        noun = {int: ("an integer", "integers"), float: ("a number", "numbers")}[spec.type]
+        if spec.many:
+            raise ConfigError(f"{key!r} must be comma-separated {noun[1]}", line) from None
+        raise ConfigError(f"{key!r} must be {noun[0]}, got {raw!r}", line) from None
+    what = f"{key!r} values" if spec.many else repr(key)
+    for value in values:
+        if spec.type is float and not math.isfinite(value):
+            raise ConfigError(f"{what} must be finite, got {raw!r}", line)
+        if spec.low is not None and value < spec.low:
+            raise ConfigError(f"{what} must be at least {spec.low}, got {value}", line)
+        if spec.high is not None and value > spec.high:
+            raise ConfigError(f"{what} must be at most {spec.high}, got {value}", line)
+        if spec.within is not None and not spec.within[1](value):
+            raise ConfigError(f"{what} must {spec.within[0]}, got {value}", line)
+    return tuple(values) if spec.many else values[0]
 
 
 def _coerce_number(value: str, key: str, line: int):
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"fixture key {key!r} must be numeric, got {value!r}", line) from None
+    for parse in (int, float):
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"fixture key {key!r} must be numeric, got {value!r}", line)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse and validate a config document into a typed ExperimentConfig."""
+    """Parse and validate a config document into a typed ExperimentConfig.
+
+    Each entry is checked in file order, so of several bad lines the first
+    is reported; missing keys and the rules that tie keys together follow.
+    """
     entries = _parse_lines(text)
-
-    experiment = _View(entries, "experiment")
-    kind = experiment.string("kind")
-    if kind is None:
+    if ("experiment", "kind") not in entries:
         raise ConfigError("missing required key 'kind' in [experiment]")
-    if kind not in KINDS:
-        _, line = experiment.raw["kind"]
-        raise ConfigError(f"unknown kind {kind!r}; known: " + ", ".join(KINDS), line)
-
-    present_sections = {sec for sec, _ in entries}
-    for section in sorted(present_sections - _KIND_SECTIONS[kind]):
+    kind, line = entries["experiment", "kind"]
+    if kind not in _KIND_SECTIONS:
+        raise ConfigError(f"unknown kind {kind!r}; known: " + ", ".join(_KIND_SECTIONS), line)
+    taken = _KIND_SECTIONS[kind]
+    for section in sorted({sec for sec, _ in entries} - taken):
         raise ConfigError(f"section [{section}] is not valid for kind {kind!r}")
 
-    seed = experiment.integer("seed", minimum=0, maximum=2**64 - 1)
-    if seed is None:
-        raise ConfigError("missing required key 'seed' in [experiment]")
-    trials = experiment.integer("trials", minimum=1)
-    if trials is None:
-        raise ConfigError("missing required key 'trials' in [experiment]")
-    output = experiment.string("output")
-    if output is None:
-        raise ConfigError("missing required key 'output' in [experiment]")
-    # Only a sweep trains, so only a sweep reads delta or writes a trace.
-    for key in ("delta", "trace_output"):
-        if key in experiment.raw and kind != "upper_sweep":
-            _, line = experiment.raw[key]
-            raise ConfigError(f"{key!r} is only valid for kind 'upper_sweep'", line)
-    delta = experiment.real("delta", default=0.1)
-    if not 0.0 < delta < 1.0:
-        _, line = experiment.raw["delta"]
-        raise ConfigError(f"'delta' must lie in (0, 1), got {delta}", line)
-    trace_output = experiment.string("trace_output")
-    threads = experiment.integer("threads", minimum=1)
-
-    constants = TheoryConstants()
-    if "constants" in present_sections:
-        view = _View(entries, "constants")
-        values = {}
-        for name in _SECTION_KEYS["constants"]:
-            parsed = view.real(name)
-            if parsed is not None:
-                if parsed <= 0:
-                    _, line = view.raw[name]
-                    raise ConfigError(f"{name!r} must be positive, got {parsed}", line)
-                values[name] = parsed
-        constants = TheoryConstants(**values)
-
-    fixture_family = None
+    values = {name: spec.default for name, spec in _KEYS.items()}
     fixture_params: dict = {}
-    grid_n = None
-    grid_tau = None
-    adversary = None
-    chunk_size = 250
-
-    if kind == "upper_sweep":
-        fixture = _View(entries, "fixture")
-        fixture_family = fixture.string("family")
-        if fixture_family is None:
-            raise ConfigError("missing required key 'family' in [fixture]")
-        if fixture_family not in FAMILIES:
-            _, line = fixture.raw["family"]
+    for (section, key), (raw, line) in entries.items():
+        spec = _KEYS.get((section, key))
+        if spec is None:
+            fixture_params[key] = _coerce_number(raw, key, line)
+            continue
+        # Only a sweep trains, so only a sweep reads delta or writes a trace.
+        if spec.sweep_only and kind != "upper_sweep":
+            raise ConfigError(f"{key!r} is only valid for kind 'upper_sweep'", line)
+        values[section, key] = _value(key, spec, raw, line)
+        if (section, key) == ("fixture", "family") and raw not in FAMILIES:
             raise ConfigError(
-                f"unknown fixture family {fixture_family!r}; available: "
-                + ", ".join(available_fixtures()),
+                f"unknown fixture family {raw!r}; available: " + ", ".join(available_fixtures()),
                 line,
             )
-        for key, (value, line) in fixture.raw.items():
-            if key == "family":
-                continue
-            fixture_params[key] = _coerce_number(value, key, line)
-        grid = _View(entries, "grid")
-        grid_n = grid.integer_list("n", minimum=3, maximum=_MAX_SAMPLES)
-        if grid_n is None:
-            raise ConfigError("missing required key 'n' in [grid]")
-        grid_tau = grid.real_list("tau")
-        if grid_tau is not None:
-            for value in grid_tau:
-                if not 0.0 < value < 1.0:
-                    raise ConfigError(f"grid tau values must lie in (0, 1), got {value}")
-    elif kind == "lower_bound":
-        view = _View(entries, "adversary")
-        u = view.integer("u", minimum=2)
-        tau = view.real("tau")
-        if (u is None) == (tau is None):
+    for (section, key), spec in _KEYS.items():
+        if spec.required and section in taken and (section, key) not in entries:
+            raise ConfigError(f"missing required key {key!r} in [{section}]")
+
+    def section_values(name: str) -> dict:
+        return {key: value for (sec, key), value in values.items() if sec == name}
+
+    adversary = None
+    if kind == "lower_bound":
+        adversary = AdversarySpec(**section_values("adversary"))
+        if (adversary.u is None) == (adversary.tau is None):
             raise ConfigError("give exactly one of 'u' and 'tau' in [adversary]")
-        if tau is not None and not 0.0 < tau < 1.0:
-            _, line = view.raw["tau"]
-            raise ConfigError(f"'tau' must lie in (0, 1), got {tau}", line)
-        d = view.integer("d", minimum=1)
-        if d is None:
-            raise ConfigError("missing required key 'd' in [adversary]")
-        n = view.integer("n", minimum=1, maximum=_MAX_SAMPLES)
-        if n is None:
-            raise ConfigError("missing required key 'n' in [adversary]")
-        cap = view.integer("cap", minimum=3)
-        if cap is None:
-            raise ConfigError("missing required key 'cap' in [adversary]")
-        skew = view.real("skew")
-        if skew is not None:
-            _, line = view.raw["skew"]
-            if tau is not None:
-                raise ConfigError("'skew' is chosen with u from 'tau'; give 'u' to fix 'skew'", line)
-            if not 0.0 <= skew < 1.0:
-                raise ConfigError(f"'skew' must lie in [0, 1), got {skew}", line)
-        adversary = AdversarySpec(u, tau, d, n, cap, skew)
-    else:
-        view = _View(entries, "identities")
-        chunk_size = view.integer("chunk_size", default=250, minimum=1)
+        if adversary.skew is not None and adversary.tau is not None:
+            raise ConfigError(
+                "'skew' is chosen with u from 'tau'; give 'u' to fix 'skew'",
+                entries["adversary", "skew"][1],
+            )
 
     canonical = canonicalize(entries)
-    digest = format(fnv1a64(canonical.encode("utf-8")), "016x")
     return ExperimentConfig(
-        kind=kind,
-        seed=seed,
-        trials=trials,
-        output=output,
-        delta=delta,
-        trace_output=trace_output,
-        threads=threads,
-        fixture_family=fixture_family,
+        **section_values("experiment"),
+        fixture_family=values["fixture", "family"],
         fixture_params=fixture_params,
-        grid_n=grid_n,
-        grid_tau=grid_tau,
-        constants=constants,
+        grid_n=values["grid", "n"],
+        grid_tau=values["grid", "tau"],
+        constants=TheoryConstants(**section_values("constants")),
         adversary=adversary,
-        chunk_size=chunk_size,
+        chunk_size=values["identities", "chunk_size"],
         source_text=text,
-        config_hash=digest,
+        config_hash=format(fnv1a64(canonical.encode("utf-8")), "016x"),
     )
 
 

@@ -63,6 +63,11 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
+_ENUMERATION_CELLS = 2**31
+"""Most label cells, rows x points, of a materialized class: 2 GiB of int8.
+The row cap binds first for d >= 2 (d = 2 stops at u = 1414); a d = 1
+class or a realizable_uniform class stops above u = 46340."""
+
 _KERNEL_CHUNK_CELLS = 2**17
 """Rows x points per step of the mistake kernel's product. On a 2-core Xeon
 with OpenBLAS 0.3.31, one float64 product over 2-5 million cells ran 3-10
@@ -236,15 +241,12 @@ class HypothesisClass:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Label matrix; materializes lazily, at most DEFAULT_ENUMERATION_CAP
-        rows."""
+        """Label matrix; materializes lazily, within _require_enumerable's
+        caps."""
         if self._matrix is None:
             size = self.size
-            if size > DEFAULT_ENUMERATION_CAP:
-                raise ValueError(
-                    f"class of size {size} exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-                )
             u, d = self._negative_spec
+            _require_enumerable(size, u)
             negatives = np.fromiter(
                 chain.from_iterable(combinations(range(u), d)), dtype=np.intp, count=size * d
             )
@@ -334,6 +336,17 @@ def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisCla
     klass = HypothesisClass.__new__(HypothesisClass)
     _init_class(klass, matrix, declared_vc)
     return klass
+
+
+def _require_enumerable(rows: int, points: int) -> None:
+    """Refuse a label matrix past DEFAULT_ENUMERATION_CAP rows or
+    _ENUMERATION_CELLS cells, before anything of its size is allocated."""
+    if rows > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(
+            f"class of size {rows} exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    if rows * points > _ENUMERATION_CELLS:
+        raise ValueError(f"class of {rows} x {points} labels exceeds {_ENUMERATION_CELLS} cells")
 
 
 def enumerate_class(klass: HypothesisClass) -> HypothesisClass:

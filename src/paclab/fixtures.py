@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import AdversaryInstance, _domain_size, build_distribution
-from .core import DiscreteDistribution, HypothesisClass
+from .core import DiscreteDistribution, HypothesisClass, _require_enumerable
 
 __all__ = [
     "Fixture",
@@ -67,6 +67,7 @@ def realizable_uniform(u: int = 6, tau: float = 0.0) -> Fixture:
         raise ValueError(f"need at least 2 points, got {u}")
     if tau != 0.0:
         raise ValueError(f"this family is noise-free, got tau={tau}")
+    _require_enumerable(u + 1, u)
     matrix = np.ones((u + 1, u), dtype=np.int8)
     for i in range(u):
         matrix[i + 1, i] = -1
@@ -93,6 +94,8 @@ def dsubset_adversary(
         u = _domain_size(tau, d, alpha)
     instance = AdversaryInstance(u, d, alpha, 0)
     klass = HypothesisClass.with_exact_negatives(u, d)
+    # Refused before the u-row mass table is allocated.
+    _require_enumerable(klass.size, u)
     dist = build_distribution(instance)
     return Fixture("dsubset_adversary", klass, dist, d, instance.opt_error)
 

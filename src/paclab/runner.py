@@ -39,7 +39,8 @@ stacked excesses.
 A grid n too small for the fixture's d, that is below 6(d + 1), where a
 trial's filter half would not exceed d, is a ConfigError, and so is a
 rounds_scale that would give some trial more filtering rounds than its
-filter half has samples.
+filter half has samples, and so is an adversary tau that chooses a domain
+of more than adversary._MAX_DOMAIN points, refused before any game.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
+    _MAX_DOMAIN,
     _chunk_games,
     _opt_error,
     choose_parameters,
@@ -229,7 +231,7 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
     try:
         fixture = family(**params)
         enumerate_class(fixture.klass)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"fixture {config.fixture_family!r}: {exc}") from exc
     return fixture
 
@@ -451,10 +453,12 @@ def _run_lower_bound(config: ExperimentConfig, threads: int):
                 if spec.skew is not None
                 else skew_for_domain(u, spec.d, spec.n, spec.cap)
             )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"adversary parameters: {exc}") from exc
     if u < 2 * spec.d:
         raise ConfigError(f"adversary domain {u} too small for {spec.d} negatives")
+    if u > _MAX_DOMAIN:
+        raise ConfigError(f"adversary domain {u:.4g} exceeds {_MAX_DOMAIN} points")
 
     step = _chunk_games(u)
     starts = list(range(0, config.trials, step))

@@ -1,8 +1,13 @@
 """Tests for config parsing, validation, and the experiment hash."""
 
+import functools
+from pathlib import Path
+
 import pytest
 
 from paclab.config import (
+    _KEYS,
+    _KIND_SECTIONS,
     ConfigError,
     canonicalize,
     fnv1a64,
@@ -306,3 +311,140 @@ class TestHashing:
             ("experiment", "output"): ("x.csv", 2),
         }
         assert canonicalize(entries) == "experiment.kind=identities\ngrid.n=5"
+
+
+def with_value(text, section, key, value):
+    """text with key set to value as the first line of [section], and that
+    line's number."""
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, f"{key} = {value}")
+    return "\n".join(lines) + "\n", at + 1
+
+
+BASE_TEXTS = {
+    "experiment": IDENTITIES_TEXT,
+    "identities": IDENTITIES_TEXT,
+    "grid": SWEEP_TEXT,
+    "adversary": LOWER_TEXT,
+}
+
+OUT_OF_BOUNDS = [
+    pytest.param(section, key, value, id=f"{section}.{key}={value}")
+    for (section, key), spec in _KEYS.items()
+    if spec.type is int
+    for value in (spec.low - 1, None if spec.high is None else spec.high + 1)
+    if value is not None
+]
+
+EVERY_KEY = {
+    ("experiment", "seed"): ("12345", "seed", 12345),
+    ("experiment", "trials"): ("3", "trials", 3),
+    ("experiment", "output"): ("o.csv", "output", "o.csv"),
+    ("experiment", "delta"): ("0.25", "delta", 0.25),
+    ("experiment", "trace_output"): ("t.csv", "trace_output", "t.csv"),
+    ("experiment", "threads"): ("3", "threads", 3),
+    ("grid", "n"): ("30, 40", "grid_n", (30, 40)),
+    ("grid", "tau"): ("0.125, 0.25", "grid_tau", (0.125, 0.25)),
+    ("fixture", "family"): ("dsubset_adversary", "fixture_family", "dsubset_adversary"),
+    ("constants", "dev_scale"): ("1.5", "constants.dev_scale", 1.5),
+    ("constants", "rounds_scale"): ("2.5", "constants.rounds_scale", 2.5),
+    ("constants", "exit_scale"): ("0.5", "constants.exit_scale", 0.5),
+    ("adversary", "u"): ("40", "adversary.u", 40),
+    ("adversary", "tau"): ("0.05", "adversary.tau", 0.05),
+    ("adversary", "d"): ("3", "adversary.d", 3),
+    ("adversary", "n"): ("500", "adversary.n", 500),
+    ("adversary", "cap"): ("7", "adversary.cap", 7),
+    ("adversary", "skew"): ("0.01", "adversary.skew", 0.01),
+    ("identities", "chunk_size"): ("17", "chunk_size", 17),
+}
+"""A valid value other than the default for every key but kind, the
+ExperimentConfig field it must reach, and the value parsed there."""
+
+# u and tau exclude each other, and skew goes only with u.
+KIND_VARIANTS = {
+    "upper_sweep": (),
+    "lower_bound_u": (("adversary", "tau"),),
+    "lower_bound_tau": (("adversary", "u"), ("adversary", "skew")),
+    "identities": (),
+}
+
+
+def every_key_text(kind, left_out):
+    """A config of this kind that sets every key it takes but left_out,
+    and the (section, key) pairs it sets."""
+    lines = []
+    written = []
+    for section in dict.fromkeys(sec for sec, _ in _KEYS if sec in _KIND_SECTIONS[kind]):
+        lines.append(f"[{section}]")
+        for (sec, key), spec in _KEYS.items():
+            if sec != section or (sec, key) in left_out:
+                continue
+            if spec.sweep_only and kind != "upper_sweep":
+                continue
+            lines.append(f"{key} = {kind if key == 'kind' else EVERY_KEY[sec, key][0]}")
+            written.append((sec, key))
+    return "\n".join(lines) + "\n", written
+
+
+def variant_kind(variant):
+    return variant.removesuffix("_u").removesuffix("_tau")
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("section, key, value", OUT_OF_BOUNDS)
+    def test_integer_bounds_fail_at_the_key_line(self, section, key, value):
+        text, line = with_value(BASE_TEXTS[section], section, key, value)
+        with pytest.raises(ConfigError, match=f"'{key}' (values )?must be at (least|most)") as excinfo:
+            parse_config_text(text)
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("variant", KIND_VARIANTS)
+    def test_every_key_reaches_its_field(self, variant):
+        """A key the parse accepts but never reads would leave its field at
+        the default."""
+        kind = variant_kind(variant)
+        text, written = every_key_text(kind, KIND_VARIANTS[variant])
+        config = parse_config_text(text)
+        assert config.kind == kind
+        for section, key in written:
+            if key == "kind":
+                continue
+            _, path, expected = EVERY_KEY[section, key]
+            assert expected != _KEYS[section, key].default
+            assert functools.reduce(getattr, path.split("."), config) == expected, (section, key)
+
+    def test_the_variants_cover_every_key(self):
+        assert set(EVERY_KEY) | {("experiment", "kind")} == set(_KEYS)
+        covered = set()
+        for variant, left_out in KIND_VARIANTS.items():
+            covered.update(every_key_text(variant_kind(variant), left_out)[1])
+        assert covered == set(_KEYS)
+
+    def test_readme_table_lists_every_key(self):
+        """The README's key table names each row of _KEYS once, with whether
+        it enters the config hash."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+            for line in readme.splitlines()
+            if line.startswith("| `[")
+        ]
+        table = {(cells[0].strip("[]"), cells[1]): cells[-1] for cells in rows}
+        assert len(table) == len(rows)
+        assert set(table) == set(_KEYS)
+        for name, spec in _KEYS.items():
+            assert table[name] == ("yes" if spec.hashed else "no"), name
+
+    def test_a_bad_grid_tau_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"'tau' values must lie in \(0, 1\)") as excinfo:
+            parse_config_text(SWEEP_TEXT.replace("0.1, 0.2", "0.1, 1.2"))
+        assert excinfo.value.line == 13
+
+    def test_the_first_bad_line_is_reported(self):
+        """Of several bad lines the first in the file is named, whatever
+        the order of the keys' rows."""
+        text = IDENTITIES_TEXT.replace("[experiment]\n", "[experiment]\nthreads = 0\n")
+        with pytest.raises(ConfigError, match="'threads' must be at least 1") as excinfo:
+            parse_config_text(text.replace("seed = 0", "seed = x"))
+        assert excinfo.value.line == 2

@@ -2,12 +2,17 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paclab
 from paclab import (
     BREAK_REASONS,
     DiscreteDistribution,
@@ -487,6 +492,68 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"line {line}:" in err and f"at most {2**63 - 1}, got {2**63}" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[adversary]\nu = 9223372036854775808\nd = 2\nn = 1000\ncap = 576\n",
+             "line 7: 'u' must be at most 16777216"),
+            ("[adversary]\nu = 1000000000000\nd = 2\nn = 1000\ncap = 576\n",
+             "line 7: 'u' must be at most 16777216"),
+            ("[adversary]\nu = 100000000\nd = 2\nn = 1000\ncap = 576\n",
+             "line 7: 'u' must be at most 16777216"),
+            ("[adversary]\ntau = 1e-300\nd = 2\nn = 1000\ncap = 576\n",
+             "adversary domain 1.997e+300 exceeds 16777216 points"),
+            ("[adversary]\ntau = 1e-320\nd = 2\nn = 1000\ncap = 576\n",
+             "adversary parameters: cannot convert float infinity to integer"),
+            (f"[adversary]\ntau = 0.05\nd = {10**400}\nn = 1000\ncap = 576\n",
+             "adversary parameters: int too large to convert to float"),
+            ("[grid]\nn = 3000\n[fixture]\nfamily = dsubset_adversary\nu = 1000000\nd = 1\n",
+             "class of 1000000 x 1000000 labels exceeds 2147483648 cells"),
+            ("[grid]\nn = 3000\n[fixture]\nfamily = realizable_uniform\nu = 100000\n",
+             "class of 100001 x 100000 labels exceeds 2147483648 cells"),
+            ("[grid]\nn = 3000\n[fixture]\nfamily = dsubset_adversary\nu = 1000000000000\nd = 1\n",
+             "class of size 1000000000000 exceeds the enumeration cap"),
+            ("[grid]\nn = 3000\ntau = 1e-320\n[fixture]\nfamily = dsubset_adversary\nd = 1\n",
+             "fixture 'dsubset_adversary': cannot convert float infinity to integer"),
+        ],
+        ids=[
+            "adversary_u_2e63", "adversary_u_1e12", "adversary_u_1e8", "adversary_tau_1e-300",
+            "adversary_tau_1e-320", "adversary_d_1e400", "dsubset_u_1e6_d_1",
+            "realizable_u_1e5", "dsubset_u_1e12_d_1", "dsubset_grid_tau_1e-320",
+        ],
+    )
+    def test_run_refuses_an_oversized_domain_before_allocating(self, tmp_path, body, message):
+        """Each config asks for an array of 1.49 GiB to 7.28 TiB, for one
+        past numpy's dimension limit, or for a domain size that overflows a
+        float. Run in a child limited to 1 GiB of address space, so any
+        attempt to allocate it would end in a MemoryError and exit 1."""
+        kind = "lower_bound" if body.startswith("[adversary]") else "upper_sweep"
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            f"[experiment]\nkind = {kind}\nseed = 1\ntrials = 2\n"
+            f"output = {tmp_path / 'out.csv'}\n{body}",
+            encoding="utf-8",
+        )
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from paclab.cli import main\n"
+            "sys.exit(main(['run', sys.argv[1]]))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(paclab.__file__).resolve().parents[1]),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert message in done.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_version(self, capsys):
         assert main(["version"]) == 0
