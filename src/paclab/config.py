@@ -44,6 +44,19 @@ _MAX_SAMPLES = 2**63 - 1
 """Largest sample size n: numpy draws a sample's counts with int64 trial
 counts, and len() of a sample must fit a signed 64-bit index."""
 
+_MAX_TRIALS = 10**6
+"""Most trials of a run, or of one sweep cell. Every kind holds all of its
+rows in memory until it writes them; measured with tracemalloc (Python
+3.11), a lower_bound game holds about 0.2 KB, a sweep trial that exits at
+round 1 about 0.8 KB and an identities instance at chunk_size 1 about
+1.3 KB at peak, so a run at the cap stays near 1 GB (a sweep: per cell)."""
+
+_MAX_THREADS = 256
+"""Most worker threads: the pool starts min(threads, work units) OS threads,
+and a unit is numpy work that mostly holds the GIL, so threads past the
+core count add no speed; the cap refuses a count that would start
+thousands of threads."""
+
 
 @dataclass(frozen=True)
 class _Key:
@@ -73,11 +86,11 @@ _SCALE = ("be positive", lambda x: x > 0.0)
 _KEYS = {
     ("experiment", "kind"): _Key(required=True),
     ("experiment", "seed"): _Key(int, low=0, high=2**64 - 1, required=True),
-    ("experiment", "trials"): _Key(int, low=1, required=True),
+    ("experiment", "trials"): _Key(int, low=1, high=_MAX_TRIALS, required=True),
     ("experiment", "output"): _Key(required=True, hashed=False),
     ("experiment", "delta"): _Key(float, within=_UNIT, default=0.1, sweep_only=True),
     ("experiment", "trace_output"): _Key(sweep_only=True, hashed=False),
-    ("experiment", "threads"): _Key(int, low=1, hashed=False),
+    ("experiment", "threads"): _Key(int, low=1, high=_MAX_THREADS, hashed=False),
     ("grid", "n"): _Key(int, many=True, low=3, high=_MAX_SAMPLES, required=True),
     ("grid", "tau"): _Key(float, many=True, within=_UNIT),
     ("fixture", "family"): _Key(required=True),
@@ -272,6 +285,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     def section_values(name: str) -> dict:
         return {key: value for (sec, key), value in values.items() if sec == name}
+
+    # A grid tau builds each cell's fixture at that tau, so a fixture tau
+    # would enter the hash and then be overwritten.
+    if ("grid", "tau") in entries and ("fixture", "tau") in entries:
+        raise ConfigError(
+            "give 'tau' in [grid] or in [fixture], not both", entries["fixture", "tau"][1]
+        )
 
     adversary = None
     if kind == "lower_bound":

@@ -18,10 +18,11 @@ check their input: labels must equal -1 or +1, class rows must be
 distinct, point indices must be integers inside the domain, and masses and
 counts must be nonnegative. Labels and points are checked as given, before
 the cast to int8 or int64, so no cast can wrap or truncate a bad value into
-a valid one. Hypotheses, classes and tables the package derives from
-already validated objects (class members, tabulated composites, split and
-determinized classes, learner outputs, sample pieces) are built by the
-trusted constructors _trusted_hypothesis, _trusted_class and
+a valid one. Hypotheses, classes, distributions and tables the package
+derives from already validated objects (class members, tabulated
+composites, split and determinized classes, conditioned and determinized
+distributions, learner outputs, sample pieces) are built by the trusted
+constructors _trusted_hypothesis, _trusted_class, _trusted_distribution and
 _trusted_table, which skip the checks and only make the arrays read-only;
 a table whose size is known (a piece of a requested size) is not summed.
 
@@ -417,8 +418,7 @@ class DiscreteDistribution:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mass must sum to 1, got {total!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mass", arr)
+        _init_distribution(self, arr)
 
     @property
     def domain_size(self) -> int:
@@ -447,6 +447,19 @@ class DiscreteDistribution:
     def uniform_deterministic(cls, labels) -> "DiscreteDistribution":
         lab = np.asarray(labels)
         return cls.deterministic(np.full(lab.size, 1.0 / lab.size), lab)
+
+
+def _init_distribution(dist: DiscreteDistribution, mass: np.ndarray) -> None:
+    mass.setflags(write=False)
+    object.__setattr__(dist, "mass", mass)
+
+
+def _trusted_distribution(mass: np.ndarray) -> DiscreteDistribution:
+    """Wrap a float64 (u, 2) mass table the package derived from a validated
+    distribution, skipping validation; the table becomes read-only."""
+    dist = object.__new__(DiscreteDistribution)
+    _init_distribution(dist, mass)
+    return dist
 
 
 @dataclass(frozen=True, eq=False)

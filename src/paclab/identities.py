@@ -8,6 +8,11 @@ error decomposition through the difference-indicator split, and routing
 completeness of the composite classifier. All are exact up to floating
 point, so a deviation above 1e-9 fails and any failure is a real defect.
 
+Each instance conditions once: its pair's agreement split, both region
+masses and both conditionals, is computed before the checks and shared by
+the three that read it. Conditioning draws nothing, so every check draws
+what it drew when each conditioned on its own.
+
 Chunks are independently seeded, which lets the runner spread them over
 threads without changing any result.
 """
@@ -15,6 +20,7 @@ threads without changing any result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +49,22 @@ class CheckAggregate:
     failures: int
 
 
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """np.unique(rows, axis=0) of a -1/+1 int8 matrix of at most 62
+    columns, through one integer code per row: +1 is a set bit and the
+    first column the most significant, so the codes sort as the rows do."""
+    shifts = np.arange(rows.shape[1] - 1, -1, -1)
+    codes = np.unique((rows == 1) @ (1 << shifts))
+    return (((codes[:, None] >> shifts) & 1) * 2 - 1).astype(np.int8)
+
+
 def _random_instance(gen: np.random.Generator):
     u = int(gen.integers(2, 7))
     want = int(gen.integers(2, 11))
-    rows = gen.choice(np.array([-1, 1], dtype=np.int8), size=(want, u))
-    rows = np.unique(rows, axis=0)
+    rows = _distinct_rows(gen.choice(np.array([-1, 1], dtype=np.int8), size=(want, u)))
     if rows.shape[0] < 2:
         rows = np.vstack([rows, -rows[0]])
-    # np.unique has made the rows distinct, so the class needs no validation.
+    # The rows are distinct, so the class needs no validation.
     klass = _trusted_class(rows, None)
 
     mass = gen.gamma(1.0, size=(u, 2))
@@ -61,55 +75,71 @@ def _random_instance(gen: np.random.Generator):
     return klass, dist
 
 
-def _region_masses(dist, pair) -> tuple[float, float, np.ndarray]:
+class _Instance(NamedTuple):
+    """A random class and distribution, a pair of distinct members, and the
+    pair's agreement split of the distribution: the mass of each side and,
+    where that mass is positive, the distribution conditioned on the side
+    (None where it is not)."""
+
+    klass: HypothesisClass
+    dist: DiscreteDistribution
+    pair: tuple[Hypothesis, Hypothesis]
+    agree_mass: float
+    disagree_mass: float
+    agree: DiscreteDistribution | None
+    disagree: DiscreteDistribution | None
+
+
+def _split(klass: HypothesisClass, dist: DiscreteDistribution, pair) -> _Instance:
+    """The instance with its pair's agreement split, conditioned once for
+    every check that reads it. Conditioning draws nothing."""
     mask = measures.agreement_points([pair], dist.domain_size)
-    return float(dist.mass[mask].sum()), float(dist.mass[~mask].sum()), mask
+    agree_mass = float(dist.mass[mask].sum())
+    disagree_mass = float(dist.mass[~mask].sum())
+    agree = disagree = None
+    if agree_mass > 0.0:
+        agree = measures.condition_on_agreement(dist, [pair]).conditional
+    if disagree_mass > 0.0:
+        disagree = measures.condition_on_disagreement(dist, [pair]).conditional
+    return _Instance(klass, dist, pair, agree_mass, disagree_mass, agree, disagree)
 
 
-def _check_pair_decomposition(klass, dist, pair, gen) -> float:
-    h1, h2 = pair
-    total = measures.true_error(h1, dist) + measures.true_error(h2, dist)
-    q, _, _ = _region_masses(dist, pair)
-    if q <= 0.0:
+def _check_pair_decomposition(inst: _Instance, gen) -> float:
+    h1, h2 = inst.pair
+    total = measures.true_error(h1, inst.dist) + measures.true_error(h2, inst.dist)
+    if inst.agree is None:
         return abs(total - 1.0)
-    inner = measures.condition_on_agreement(dist, [pair]).conditional
+    q = inst.agree_mass
     rebuilt = q * (
-        measures.true_error(h1, inner) + measures.true_error(h2, inner)
+        measures.true_error(h1, inst.agree) + measures.true_error(h2, inst.agree)
     ) + (1.0 - q)
     return abs(total - rebuilt)
 
 
-def _check_total_probability(klass, dist, pair, gen) -> float:
-    h = klass.hypothesis(int(gen.integers(len(klass))))
-    agree_mass, disagree_mass, _ = _region_masses(dist, pair)
-    er = measures.true_error(h, dist)
+def _check_total_probability(inst: _Instance, gen) -> float:
+    h = inst.klass.hypothesis(int(gen.integers(len(inst.klass))))
+    er = measures.true_error(h, inst.dist)
     agree_part = 0.0
-    if agree_mass > 0.0:
-        agree_part = agree_mass * measures.true_error(
-            h, measures.condition_on_agreement(dist, [pair]).conditional
-        )
+    if inst.agree is not None:
+        agree_part = inst.agree_mass * measures.true_error(h, inst.agree)
     disagree_part = 0.0
-    if disagree_mass > 0.0:
-        disagree_part = disagree_mass * measures.true_error(
-            h, measures.condition_on_disagreement(dist, [pair]).conditional
-        )
+    if inst.disagree is not None:
+        disagree_part = inst.disagree_mass * measures.true_error(h, inst.disagree)
     return abs(er - (agree_part + disagree_part))
 
 
-def _check_average_bound(klass, dist, pair, gen) -> float:
-    h1, h2 = pair
-    q, _, _ = _region_masses(dist, pair)
-    if q <= 0.0:
+def _check_average_bound(inst: _Instance, gen) -> float:
+    if inst.agree is None:
         return 0.0
-    inner = measures.condition_on_agreement(dist, [pair]).conditional
-    e1 = measures.true_error(h1, inner)
-    e2 = measures.true_error(h2, inner)
-    best = float(np.min(measures.row_errors(klass, inner)))
+    h1, h2 = inst.pair
+    e1 = measures.true_error(h1, inst.agree)
+    e2 = measures.true_error(h2, inst.agree)
+    best = float(np.min(measures.row_errors(inst.klass, inst.agree)))
     return max(abs(e1 - e2), best - 0.5 * (e1 + e2))
 
 
-def _check_determinize_split(klass, dist, pair, gen) -> float:
-    det_dist, det_klass, concept = measures.determinize(dist, klass)
+def _check_determinize_split(inst: _Instance, gen) -> float:
+    det_dist, det_klass, concept = measures.determinize(inst.dist, inst.klass)
     sample = SamplePieces.drawn(det_dist, 32, gen).take(32)
     i = int(gen.integers(len(det_klass)))
     i0 = int(gen.integers(len(det_klass)))
@@ -129,23 +159,25 @@ def _check_determinize_split(klass, dist, pair, gen) -> float:
     return abs(lhs - rhs)
 
 
-def _check_composite_routing(klass, dist, pair, gen) -> float:
+def _check_composite_routing(inst: _Instance, gen) -> float:
+    klass = inst.klass
     pair_count = int(gen.integers(1, 3))
-    pairs = [pair]
+    pairs = [inst.pair]
     for _ in range(pair_count - 1):
-        a, b = _draw_pair(klass, gen)
-        pairs.append((a, b))
+        pairs.append(_draw_pair(klass, gen))
     on_agree = klass.hypothesis(int(gen.integers(len(klass))))
     on_disagree = klass.hypothesis(int(gen.integers(len(klass))))
     composite = CompositeClassifier(tuple(pairs), on_agree, on_disagree)
+    # Every point routed at once, through each hypothesis's own labels.
+    points = np.arange(klass.domain_size)
+    routed_to_agreement = np.ones(klass.domain_size, dtype=bool)
+    for h1, h2 in pairs:
+        routed_to_agreement &= h1(points) == h2(points)
+    expected = np.where(routed_to_agreement, on_agree(points), on_disagree(points))
     flat = composite.tabulate()
-    worst = 0.0
-    for x in range(klass.domain_size):
-        routed_to_agreement = all(h1(x) == h2(x) for h1, h2 in pairs)
-        expected = on_agree(x) if routed_to_agreement else on_disagree(x)
-        if flat(x) != expected or composite(x) != expected:
-            worst = 1.0
-    return worst
+    if (flat(points) != expected).any() or (composite(points) != expected).any():
+        return 1.0
+    return 0.0
 
 
 def _draw_pair(klass: HypothesisClass, gen) -> tuple[Hypothesis, Hypothesis]:
@@ -181,9 +213,9 @@ def run_identity_chunk(seed: int, chunk: int, instances: int) -> list[CheckAggre
     failures = dict.fromkeys(CHECKS, 0)
     for _ in range(instances):
         klass, dist = _random_instance(gen)
-        pair = _draw_pair(klass, gen)
+        instance = _split(klass, dist, _draw_pair(klass, gen))
         for name, check in _CHECK_FUNCTIONS.items():
-            deviation = check(klass, dist, pair, gen)
+            deviation = check(instance, gen)
             if deviation > worst[name]:
                 worst[name] = deviation
             if deviation > _TOLERANCE:

@@ -9,6 +9,8 @@ one domain.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     _trusted_class,
+    _trusted_distribution,
     _trusted_hypothesis,
     enumerate_class,
 )
@@ -130,11 +133,14 @@ class ConditioningResult:
 
 
 def _condition(dist: DiscreteDistribution, region: np.ndarray) -> ConditioningResult:
+    """dist restricted to a point mask and renormalized. Every entry is a
+    validated mass over the region's positive total, so the conditional
+    needs no validation."""
     mass = float(dist.mass[region].sum())
     if mass <= 0.0:
         raise ValueError("empty conditioning region")
     scaled = np.where(region[:, None], dist.mass / mass, 0.0)
-    return ConditioningResult(DiscreteDistribution(scaled), mass)
+    return ConditioningResult(_trusted_distribution(scaled), mass)
 
 
 def condition_on_agreement(dist: DiscreteDistribution, pairs) -> ConditioningResult:
@@ -164,8 +170,9 @@ def determinize(dist: DiscreteDistribution, klass: HypothesisClass):
     mass of label +1), so the output distribution has deterministic labels while
     every hypothesis keeps its exact error. Returns the transformed
     distribution, the transformed class, and the concept labeling the twins.
-    Doubling every column keeps distinct rows distinct, so the doubled class
-    needs no validation.
+    Doubling every column keeps distinct rows distinct, and moving each mass
+    to a twin keeps every mass and the total, so neither the doubled class
+    nor the doubled distribution needs validation.
     """
     if klass.domain_size != dist.domain_size:
         raise ValueError("class and distribution must share a domain")
@@ -176,10 +183,28 @@ def determinize(dist: DiscreteDistribution, klass: HypothesisClass):
     doubled = np.repeat(enumerate_class(klass).matrix, 2, axis=1)
     concept = _trusted_hypothesis(np.tile(np.array([-1, 1], dtype=np.int8), u))
     return (
-        DiscreteDistribution(mass),
+        _trusted_distribution(mass),
         _trusted_class(doubled, klass.declared_vc),
         concept,
     )
+
+
+class _LabelRows(Sequence):
+    """The rows of a -1/+1 int8 label matrix, made read-only, as a sequence
+    of hypotheses: a row is wrapped when it is read, so a caller pays for
+    the rows it reads. Rows may repeat, so it is no HypothesisClass."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows.setflags(write=False)
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index) -> Hypothesis:
+        return _trusted_hypothesis(self._rows[operator.index(index)])
 
 
 def split_class(klass: HypothesisClass, base: Hypothesis, concept: Hypothesis):
@@ -187,15 +212,13 @@ def split_class(klass: HypothesisClass, base: Hypothesis, concept: Hypothesis):
 
     For each h the first output is +1 exactly where h moves away from the
     base onto the concept's label, the second where it moves away onto the
-    wrong label. Returned as two lists aligned with the class index, because
-    distinct members can map to identical indicators.
+    wrong label. Returned as two sequences of hypotheses aligned with the
+    class index, because distinct members can map to identical indicators;
+    a member's indicator is wrapped when it is read.
     """
     mat = enumerate_class(klass).matrix
     moves = mat != base.labels[None, :]
     onto_concept = mat == concept.labels[None, :]
     eq_rows = np.where(moves & onto_concept, 1, -1).astype(np.int8)
     neq_rows = np.where(moves & ~onto_concept, 1, -1).astype(np.int8)
-    return (
-        [_trusted_hypothesis(row) for row in eq_rows],
-        [_trusted_hypothesis(row) for row in neq_rows],
-    )
+    return _LabelRows(eq_rows), _LabelRows(neq_rows)

@@ -64,7 +64,7 @@ from .adversary import (
     run_adversary_trials,
     skew_for_domain,
 )
-from .config import ConfigError, ExperimentConfig, fnv1a64
+from .config import _MAX_THREADS, ConfigError, ExperimentConfig, fnv1a64
 from .core import RngStream, SamplePieces, enumerate_class
 from .engine import _round_level
 from .experts import BREAK_REASONS, train_many
@@ -171,21 +171,22 @@ class RunResult:
 
 
 def resolve_threads(config: ExperimentConfig) -> int:
-    """Worker count: environment cap, else config, else hardware."""
+    """Worker count: environment cap, else config, else hardware, and never
+    more than config._MAX_THREADS."""
     from_env = os.environ.get("PACLAB_THREADS")
     if from_env is not None:
         try:
             value = int(from_env)
         except ValueError:
+            value = None
+        if value is None or not 1 <= value <= _MAX_THREADS:
             raise ValueError(
-                f"PACLAB_THREADS must be a positive integer, got {from_env!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(f"PACLAB_THREADS must be a positive integer, got {value}")
+                f"PACLAB_THREADS must be an integer from 1 to {_MAX_THREADS}, got {from_env!r}"
+            )
         return value
     if config.threads is not None:
         return config.threads
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, _MAX_THREADS)
 
 
 def _ordered_map(worker, items, threads: int) -> list:

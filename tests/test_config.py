@@ -8,6 +8,8 @@ import pytest
 from paclab.config import (
     _KEYS,
     _KIND_SECTIONS,
+    _MAX_THREADS,
+    _MAX_TRIALS,
     ConfigError,
     canonicalize,
     fnv1a64,
@@ -448,3 +450,37 @@ class TestKeyTable:
         with pytest.raises(ConfigError, match="'threads' must be at least 1") as excinfo:
             parse_config_text(text.replace("seed = 0", "seed = x"))
         assert excinfo.value.line == 2
+
+
+class TestRunSizeCaps:
+    """trials and threads have a fixed top: a run holds every row in memory
+    and starts a pool thread per worker, so a huge value must fail the
+    parse, not run out of memory or threads."""
+
+    @pytest.mark.parametrize(
+        "text", [SWEEP_TEXT, LOWER_TEXT, IDENTITIES_TEXT], ids=["sweep", "lower", "identities"]
+    )
+    @pytest.mark.parametrize("key, cap", [("trials", _MAX_TRIALS), ("threads", _MAX_THREADS)])
+    def test_the_cap_parses_and_one_more_fails_at_its_line(self, text, key, cap):
+        at_cap, _ = with_value(text, "experiment", key, cap)
+        assert getattr(parse_config_text(at_cap), key) == cap
+        over, line = with_value(text, "experiment", key, cap + 1)
+        with pytest.raises(ConfigError, match=f"'{key}' must be at most {cap}, got {cap + 1}") as excinfo:
+            parse_config_text(over)
+        assert excinfo.value.line == line
+
+
+class TestFixtureTauBesideGridTau:
+    def test_both_fail_at_the_fixture_line(self):
+        text = SWEEP_TEXT.replace("family = two_experts", "family = two_experts\ntau = 0.3")
+        with pytest.raises(ConfigError, match=r"give 'tau' in \[grid\] or in \[fixture\], not both") as excinfo:
+            parse_config_text(text)
+        assert excinfo.value.line == 17
+
+    def test_either_alone_parses(self):
+        without_grid = SWEEP_TEXT.replace("tau = 0.1, 0.2\n", "").replace(
+            "family = two_experts", "family = two_experts\ntau = 0.3"
+        )
+        config = parse_config_text(without_grid)
+        assert (config.grid_tau, config.fixture_params) == (None, {"tau": 0.3})
+        assert parse_config_text(SWEEP_TEXT).grid_tau == (0.1, 0.2)

@@ -1,8 +1,21 @@
 """Tests for the randomized identity-check harness."""
 
+import itertools
+
+import numpy as np
 import pytest
 
-from paclab import CHECKS, identities, run_identity_chunk
+from paclab import (
+    CHECKS,
+    CompositeClassifier,
+    Hypothesis,
+    RngStream,
+    agreement_points,
+    condition_on_agreement,
+    condition_on_disagreement,
+    identities,
+    run_identity_chunk,
+)
 
 
 class TestRunIdentityChunk:
@@ -61,3 +74,97 @@ class TestRunIdentityChunk:
     def test_instance_count_validated(self):
         with pytest.raises(ValueError):
             run_identity_chunk(seed=0, chunk=0, instances=0)
+
+
+class TestDistinctRows:
+    """The row codes give np.unique(rows, axis=0): the same rows, in the
+    same order, as int8."""
+
+    def assert_unique(self, rows):
+        got = identities._distinct_rows(rows)
+        expected = np.unique(rows, axis=0)
+        assert got.dtype == np.int8 and got.shape == expected.shape, rows
+        assert got.tobytes() == expected.tobytes(), rows
+
+    @pytest.mark.parametrize("shape", list(itertools.product(range(1, 5), repeat=2)))
+    def test_every_sign_matrix_up_to_4x4(self, shape):
+        """Every matrix of the shape at once: the rows of matrix k tagged
+        with a first column k, so np.unique(axis=0) of the tagged stack is,
+        tag by tag, np.unique(axis=0) of each matrix."""
+        rows, columns = shape
+        every = np.array(list(itertools.product((-1, 1), repeat=rows * columns)), dtype=np.int8)
+        every = every.reshape(-1, rows, columns)
+        tags = np.repeat(np.arange(len(every)), rows)[:, None]
+        expected = np.unique(np.hstack([tags, every.reshape(-1, columns)]), axis=0)
+        got = [identities._distinct_rows(matrix) for matrix in every]
+        got_tags = np.repeat(np.arange(len(every)), [len(g) for g in got])
+        got = np.concatenate(got)
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(expected[:, 0], got_tags)
+        np.testing.assert_array_equal(expected[:, 1:], got)
+
+    def test_random_sign_matrices_up_to_10x6(self):
+        gen = RngStream(71, 1).generator()
+        signs = np.array([-1, 1], dtype=np.int8)
+        for _ in range(3000):
+            shape = (int(gen.integers(1, 11)), int(gen.integers(1, 7)))
+            self.assert_unique(gen.choice(signs, size=shape))
+
+
+def random_instances(seed, count):
+    gen = RngStream(seed, 1).generator()
+    for _ in range(count):
+        klass, dist = identities._random_instance(gen)
+        yield identities._split(klass, dist, identities._draw_pair(klass, gen)), gen
+
+
+class TestSplit:
+    def test_each_side_is_the_public_conditional(self):
+        """The shared split holds what the public conditioning returns, bit
+        for bit, and None exactly where a side has no mass."""
+        sides = {True: 0, False: 0}
+        for inst, _ in random_instances(72, 300):
+            mask = agreement_points([inst.pair], inst.dist.domain_size)
+            assert inst.agree_mass == float(inst.dist.mass[mask].sum())
+            assert inst.disagree_mass == float(inst.dist.mass[~mask].sum())
+            for side, mass, condition in (
+                (inst.agree, inst.agree_mass, condition_on_agreement),
+                (inst.disagree, inst.disagree_mass, condition_on_disagreement),
+            ):
+                sides[side is None] += 1
+                if side is None:
+                    assert mass == 0.0
+                    continue
+                public = condition(inst.dist, [inst.pair])
+                assert public.region_mass == mass
+                assert side.mass.tobytes() == public.conditional.mass.tobytes()
+        assert sides[True] > 0 and sides[False] > 0
+
+
+class TestCompositeRouting:
+    def test_a_correct_composite_passes(self):
+        for inst, gen in random_instances(73, 100):
+            assert identities._check_composite_routing(inst, gen) == 0.0
+
+    @pytest.mark.parametrize("method", ["tabulate", "__call__"])
+    def test_a_wrong_route_fails(self, monkeypatch, method):
+        """A composite that routes one point wrong, in its table or in its
+        own call, fails the check."""
+        real = getattr(CompositeClassifier, method)
+
+        def tabulate_wrong(self):
+            labels = real(self).labels.copy()
+            labels[0] = -labels[0]
+            return Hypothesis(labels)
+
+        def call_wrong(self, x):
+            return -real(self, x)
+
+        monkeypatch.setattr(
+            CompositeClassifier, method, tabulate_wrong if method == "tabulate" else call_wrong
+        )
+        for inst, gen in random_instances(74, 20):
+            assert identities._check_composite_routing(inst, gen) == 1.0
+        aggregates = {a.check: a for a in run_identity_chunk(seed=4, chunk=0, instances=20)}
+        assert aggregates["composite_routing"].failures == 20
+        assert aggregates["composite_routing"].max_abs_deviation == 1.0

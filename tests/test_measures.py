@@ -227,3 +227,32 @@ class TestSplitClass:
                 + mass_predicting_positive(eq_list[i], det_dist)
             )
             assert lhs == pytest.approx(rhs, abs=1e-9), f"trial {trial}"
+
+
+class TestSplitClassSequences:
+    """split_class wraps a member's indicators when they are read: each
+    sequence behaves as the list of all of them."""
+
+    def test_reads_match_the_rows_in_every_access(self):
+        klass = HypothesisClass(np.array([[1, -1, 1], [-1, -1, 1], [1, 1, -1]], dtype=np.int8))
+        eq_rows, neq_rows = split_class(klass, klass.hypothesis(0), hyp(1, 1, 1))
+        for rows in (eq_rows, neq_rows):
+            listed = list(rows)
+            assert len(rows) == len(listed) == len(klass)
+            for i in range(len(klass)):
+                assert rows[i].labels.tolist() == listed[i].labels.tolist()
+                assert rows[i - len(klass)].labels.tolist() == listed[i].labels.tolist()
+                assert rows[np.int64(i)].labels.tolist() == listed[i].labels.tolist()
+                assert not rows[i].labels.flags.writeable
+        assert [h.labels.tolist() for h in eq_rows] == [[-1, -1, -1], [-1, -1, -1], [-1, 1, -1]]
+        assert [h.labels.tolist() for h in neq_rows] == [[-1, -1, -1], [1, -1, -1], [-1, -1, 1]]
+
+    def test_bad_indices_are_refused(self):
+        klass = HypothesisClass(np.array([[1, -1], [-1, 1]], dtype=np.int8))
+        eq_rows, _ = split_class(klass, klass.hypothesis(0), hyp(1, 1))
+        with pytest.raises(IndexError):
+            eq_rows[2]
+        with pytest.raises(TypeError):
+            eq_rows[0:1]
+        with pytest.raises(TypeError):
+            eq_rows[0.0]

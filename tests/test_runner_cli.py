@@ -23,7 +23,7 @@ from paclab import (
     true_error,
 )
 from paclab.cli import main
-from paclab.config import ConfigError, parse_config_text
+from paclab.config import _MAX_THREADS, _MAX_TRIALS, ConfigError, parse_config_text
 from paclab.fixtures import FAMILIES, Fixture, two_experts
 from paclab.runner import (
     ADVERSARY_COLUMNS,
@@ -744,3 +744,77 @@ class TestSweepSummary:
         assert result.summary_lines[0].endswith(" breaks=gamma_below_Zt:3 pairs=0 chose_core=3/3")
         assert " rounds=1 improper=0/3 breaks=" in result.summary_lines[0]
         assert (result.summary[0]["rounds"], result.summary[0]["improper"]) == (1.0, 0)
+
+
+class TestPinnedSelftest:
+    """Data rows of `paclab selftest --seed 7 --trials 1000` (10 chunks of
+    100 instances), recorded before each instance conditioned its pair's
+    split once for all its checks. Recorded with numpy 2.4 on x86-64."""
+
+    def test_data_rows_are_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "selftest.csv"
+        assert main(["selftest", "--seed", "7", "--trials", "1000", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("all identity checks passed\n")
+        assert data_digest(out) == "26321c570dae06e875e76db28c17e77be3b97094910c56487e18a27ad41f6f3f"
+
+
+class TestRunSizeCaps:
+    """No run starts with more trials or threads than the caps allow; none
+    of these tests starts a pool."""
+
+    CONFIG = "[experiment]\nkind = identities\nseed = 0\ntrials = 10\noutput = x.csv\n"
+
+    def test_threads_from_the_environment_stop_at_the_cap(self, monkeypatch):
+        config = parse_config_text(self.CONFIG)
+        monkeypatch.setenv("PACLAB_THREADS", str(_MAX_THREADS))
+        assert resolve_threads(config) == _MAX_THREADS
+        monkeypatch.setenv("PACLAB_THREADS", str(_MAX_THREADS + 1))
+        message = f"PACLAB_THREADS must be an integer from 1 to {_MAX_THREADS}, got '{_MAX_THREADS + 1}'"
+        with pytest.raises(ValueError, match=message):
+            resolve_threads(config)
+
+    def test_threads_from_the_hardware_stop_at_the_cap(self, monkeypatch):
+        monkeypatch.delenv("PACLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4 * _MAX_THREADS)
+        assert resolve_threads(parse_config_text(self.CONFIG)) == _MAX_THREADS
+
+    def test_selftest_at_the_trials_cap_reaches_the_run(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append(config.trials)
+            return paclab.runner.RunResult("identities", "", None, (), (), (), (), True, 0.0)
+
+        monkeypatch.setattr(paclab.cli, "run", record)
+        out = str(tmp_path / "st.csv")
+        assert main(["selftest", "--trials", str(_MAX_TRIALS), "--output", out]) == 0
+        assert seen == [_MAX_TRIALS]
+
+    def test_selftest_past_the_trials_cap_exits_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        assert main(["selftest", "--trials", str(_MAX_TRIALS + 1), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"'trials' must be at most {_MAX_TRIALS}, got {_MAX_TRIALS + 1}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_a_huge_lower_bound_run_is_a_config_error(self, tmp_path, capsys):
+        """10**18 games were an uncaught MemoryError before any game."""
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            f"[experiment]\nkind = lower_bound\nseed = 1\ntrials = {10**18}\n"
+            f"output = {tmp_path / 'lb.csv'}\n\n[adversary]\nu = 50\nd = 2\nn = 400\ncap = 576\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 2
+        assert f"line 4: 'trials' must be at most {_MAX_TRIALS}" in capsys.readouterr().err
+
+    def test_a_fixture_tau_beside_a_grid_tau_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "both.cfg"
+        path.write_text(
+            f"[experiment]\nkind = upper_sweep\nseed = 1\ntrials = 2\n"
+            f"output = {tmp_path / 'rows.csv'}\n\n[grid]\nn = 300\ntau = 0.1\n\n"
+            "[fixture]\nfamily = two_experts\ntau = 0.3\n",
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 2
+        assert "give 'tau' in [grid] or in [fixture], not both" in capsys.readouterr().err

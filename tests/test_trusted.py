@@ -1,10 +1,11 @@
-"""Package-built hypotheses and classes against the public constructors.
+"""Package-built hypotheses, classes and distributions against the public
+constructors.
 
-Hypotheses and classes the package derives from validated objects skip
-validation. Each such producer must still return what the public
-constructor would: read-only int8 labels with the same values, and class
-rows the public constructor accepts. The public constructors keep their
-checks.
+Hypotheses, classes and distributions the package derives from validated
+objects skip validation. Each such producer must still return what the
+public constructor would: read-only int8 labels with the same values, class
+rows the public constructor accepts, and read-only masses it accepts bit
+for bit. The public constructors keep their checks.
 """
 
 import math
@@ -21,6 +22,9 @@ from paclab import (
     Hypothesis,
     HypothesisClass,
     RngStream,
+    agreement_points,
+    condition_on_agreement,
+    condition_on_disagreement,
     determinize,
     least_frequent_learner,
     split_class,
@@ -133,6 +137,57 @@ class TestProducers:
             assert_matches_public(
                 instance.truth_hypothesis(), [-1 if x in truth else 1 for x in range(u)]
             )
+
+
+def assert_distribution_matches_public(dist, expected):
+    """dist holds a read-only float64 mass table that DiscreteDistribution
+    accepts from the same array and keeps bit for bit, equal to expected."""
+    assert type(dist) is DiscreteDistribution
+    assert dist.mass.dtype == np.float64 and dist.mass.shape == expected.shape
+    assert not dist.mass.flags.writeable
+    with pytest.raises(ValueError):
+        dist.mass[0, 0] = 0.5
+    assert dist.mass.tobytes() == DiscreteDistribution(dist.mass).mass.tobytes()
+    assert dist.mass.tobytes() == expected.tobytes()
+
+
+class TestDerivedDistributions:
+    def test_conditionals(self):
+        gen = RngStream(66, 1).generator()
+        checked = 0
+        for _ in range(40):
+            klass = random_class(gen)
+            dist = random_dist(gen, klass.domain_size)
+            picks = gen.integers(len(klass), size=4)
+            pairs = [
+                (klass.hypothesis(int(picks[0])), klass.hypothesis(int(picks[1]))),
+                (klass.hypothesis(int(picks[2])), klass.hypothesis(int(picks[3]))),
+            ]
+            for count in (1, 2):
+                mask = agreement_points(pairs[:count], klass.domain_size)
+                sides = ((mask, condition_on_agreement), (~mask, condition_on_disagreement))
+                for region, condition in sides:
+                    if not region.any():
+                        continue
+                    region_mass = dist.mass[region].sum()
+                    expected = np.where(region[:, None], dist.mass / region_mass, 0.0)
+                    assert_distribution_matches_public(
+                        condition(dist, pairs[:count]).conditional, expected
+                    )
+                    checked += 1
+        assert checked > 80
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_determinized_distribution(self, lazy):
+        gen = RngStream(67, 1).generator()
+        for _ in range(20):
+            klass = HypothesisClass.with_exact_negatives(6, 2) if lazy else random_class(gen)
+            dist = random_dist(gen, klass.domain_size)
+            # Point i becomes twin 2i with its -1 mass and twin 2i + 1 with its +1 mass.
+            expected = np.array(
+                [[m, 0.0] if label == 0 else [0.0, m] for row in dist.mass for label, m in enumerate(row)]
+            )
+            assert_distribution_matches_public(determinize(dist, klass)[0], expected)
 
 
 class TestPublicConstructorsKeepTheirChecks:
