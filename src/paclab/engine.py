@@ -319,14 +319,10 @@ def make_schedule(err_estimate: float, n: int, d: int, delta: float, consts: The
 def erm_reference_rate(n, d, delta, tau) -> float:
     """Reference curve for the error level plain minimization attains.
 
-    Evaluates the noise level plus a root term plus an additive term, all
-    with leading constant 1. Used for plotted reference curves, not as a
-    guarantee of anything.
+    Evaluates the noise level plus the deviation allowance at that level
+    (deviation_bound's root and additive terms, leading constant 1). Used
+    for plotted reference curves, not as a guarantee of anything.
     """
-    _validate_bound_inputs(n, d, delta)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    log_delta = math.log(1.0 / delta)
-    additive = _additive_term(n, d, delta)
-    root = 0.0 if tau == 0 else math.sqrt(tau * (d * _floored_log(1.0 / tau) + log_delta) / n)
-    return tau + root + additive
+    return tau + deviation_bound(n, d, delta, tau)

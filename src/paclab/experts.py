@@ -631,10 +631,11 @@ def exact_progress_report(
     Record i holds the class's best error under the distribution conditioned
     on the first i-1 pairs agreeing, together with the original-distribution
     mass where any recorded pair among the first min(i, r) disagrees. Two
-    algebraic identities are asserted at each conditioning step (to within
-    1e-9, RuntimeError on violation): the pair's error sum decomposes across
-    the agreement split, and the conditional optimum is at most the pair's
-    average (the pair has equal errors there, also asserted). The geometric
+    algebraic identities are asserted at each conditioning step, to within
+    1e-9 (RuntimeError naming the step): the pair's error sum decomposes
+    across the agreement split (measures._decomposition_gap), and the
+    conditional optimum is at most the pair's average, the pair's two
+    conditional errors being equal (measures._averaging_gap). The geometric
     decay bound and the mass bound are evaluated and reported per record,
     never asserted. If a pair's agreement region carries zero true mass the
     q = 0 form of the decomposition (error sum equals one) is checked and
@@ -653,12 +654,8 @@ def exact_progress_report(
     records = []
     current = dist
     for step in range(1, pair_total + 2):
-        active = min(step, pair_total)
-        if active == 0:
-            disagreement_mass = 0.0
-        else:
-            mask = measures.agreement_points(trace.selected[:active], dist.domain_size)
-            disagreement_mass = float(marginal[~mask].sum())
+        mask = measures.agreement_points(trace.selected[:step], dist.domain_size)
+        disagreement_mass = float(marginal[~mask].sum())
         decay_bound = base_error * decay_factor ** (step - 1)
         mass_bound = 8.0 * (base_error - best)
         records.append(
@@ -674,36 +671,22 @@ def exact_progress_report(
         )
         if step > pair_total:
             break
-        h1, h2 = trace.selected[step - 1]
-        error_sum = measures.true_error(h1, current) + measures.true_error(h2, current)
-        pair_mask = measures.agreement_points([(h1, h2)], current.domain_size)
-        agree_mass = float(current.mass[pair_mask].sum())
-        if agree_mass <= 0.0:
-            if abs(error_sum - 1.0) > 1e-9:
-                raise RuntimeError(
-                    f"step {step}: fully-disagreeing pair has error sum {error_sum!r}, expected 1"
-                )
+        pair = trace.selected[step - 1]
+        split = measures._condition(current, measures.agreement_points([pair], dist.domain_size))
+        nxt = None if split is None else split.conditional
+        q = 0.0 if split is None else split.region_mass
+        gap = measures._decomposition_gap(pair, current, q, nxt)
+        if gap > 1e-9:
+            raise RuntimeError(
+                f"step {step}: the pair's error sum misses its decomposition by {gap!r}"
+            )
+        if nxt is None:
             break
-        conditioned = measures.condition_on_agreement(current, [(h1, h2)])
-        nxt = conditioned.conditional
-        q = conditioned.region_mass
-        next_e1 = measures.true_error(h1, nxt)
-        next_e2 = measures.true_error(h2, nxt)
-        reconstructed = q * (next_e1 + next_e2) + (1.0 - q)
-        if abs(error_sum - reconstructed) > 1e-9:
+        gap, next_best = measures._averaging_gap(pair, klass, nxt)
+        if gap > 1e-9:
             raise RuntimeError(
-                f"step {step}: decomposition identity violated, "
-                f"{error_sum!r} vs {reconstructed!r}"
-            )
-        if abs(next_e1 - next_e2) > 1e-9:
-            raise RuntimeError(
-                f"step {step}: pair errors differ on their agreement region, "
-                f"{next_e1!r} vs {next_e2!r}"
-            )
-        next_best = float(np.min(measures.row_errors(klass, nxt)))
-        if next_best > 0.5 * (next_e1 + next_e2) + 1e-9:
-            raise RuntimeError(
-                f"step {step}: conditional optimum {next_best!r} exceeds the pair average"
+                f"step {step}: the averaging bound fails by {gap!r}: the pair's "
+                "conditional errors differ or the conditional optimum exceeds their average"
             )
         current, best = nxt, next_best
     return ProgressReport(base_error, tuple(records))

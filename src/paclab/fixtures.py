@@ -92,6 +92,10 @@ def dsubset_adversary(
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
         u = _domain_size(tau, d, alpha)
+    # C(u, d) >= C(24, 12) = 2,704,156 rows here, past the cap, and
+    # math.comb of a huge u and d alone would run for minutes.
+    if min(d, u - d) >= 12:
+        raise ValueError(f"class of C({u}, {d}) rows exceeds the enumeration cap")
     instance = AdversaryInstance(u, d, alpha, 0)
     klass = HypothesisClass.with_exact_negatives(u, d)
     # Refused before the u-row mass table is allocated.

@@ -8,10 +8,13 @@ error decomposition through the difference-indicator split, and routing
 completeness of the composite classifier. All are exact up to floating
 point, so a deviation above 1e-9 fails and any failure is a real defect.
 
-Each instance conditions once: its pair's agreement split, both region
-masses and both conditionals, is computed before the checks and shared by
-the three that read it. Conditioning draws nothing, so every check draws
-what it drew when each conditioned on its own.
+Each instance conditions once: one agreement mask of its pair gives both
+region masses and both conditionals (measures._condition), shared by the
+three checks that read them. Conditioning draws nothing, so every check
+draws what it drew when each conditioned on its own. The decomposition
+and averaging checks return measures._decomposition_gap and
+measures._averaging_gap, the identities experts.exact_progress_report
+asserts on a training trace. A chunk's aggregates are selftest CSV rows.
 
 Chunks are independently seeded, which lets the runner spread them over
 threads without changing any result.
@@ -19,7 +22,6 @@ threads without changing any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +40,9 @@ from .experts import CompositeClassifier
 __all__ = ["CHECKS", "CheckAggregate", "run_identity_chunk"]
 
 
-@dataclass(frozen=True)
-class CheckAggregate:
-    """Worst deviation and failure count for one check over one chunk."""
+class CheckAggregate(NamedTuple):
+    """Worst deviation and failure count for one check over one chunk: a
+    selftest CSV row, its fields in column order."""
 
     check: str
     chunk: int
@@ -94,26 +96,14 @@ def _split(klass: HypothesisClass, dist: DiscreteDistribution, pair) -> _Instanc
     """The instance with its pair's agreement split, conditioned once for
     every check that reads it. Conditioning draws nothing."""
     mask = measures.agreement_points([pair], dist.domain_size)
-    agree_mass = float(dist.mass[mask].sum())
-    disagree_mass = float(dist.mass[~mask].sum())
-    agree = disagree = None
-    if agree_mass > 0.0:
-        agree = measures.condition_on_agreement(dist, [pair]).conditional
-    if disagree_mass > 0.0:
-        disagree = measures.condition_on_disagreement(dist, [pair]).conditional
-    return _Instance(klass, dist, pair, agree_mass, disagree_mass, agree, disagree)
+    sides = [measures._condition(dist, region) for region in (mask, ~mask)]
+    masses = [0.0 if side is None else side.region_mass for side in sides]
+    conditionals = [None if side is None else side.conditional for side in sides]
+    return _Instance(klass, dist, pair, *masses, *conditionals)
 
 
 def _check_pair_decomposition(inst: _Instance, gen) -> float:
-    h1, h2 = inst.pair
-    total = measures.true_error(h1, inst.dist) + measures.true_error(h2, inst.dist)
-    if inst.agree is None:
-        return abs(total - 1.0)
-    q = inst.agree_mass
-    rebuilt = q * (
-        measures.true_error(h1, inst.agree) + measures.true_error(h2, inst.agree)
-    ) + (1.0 - q)
-    return abs(total - rebuilt)
+    return measures._decomposition_gap(inst.pair, inst.dist, inst.agree_mass, inst.agree)
 
 
 def _check_total_probability(inst: _Instance, gen) -> float:
@@ -131,11 +121,7 @@ def _check_total_probability(inst: _Instance, gen) -> float:
 def _check_average_bound(inst: _Instance, gen) -> float:
     if inst.agree is None:
         return 0.0
-    h1, h2 = inst.pair
-    e1 = measures.true_error(h1, inst.agree)
-    e2 = measures.true_error(h2, inst.agree)
-    best = float(np.min(measures.row_errors(inst.klass, inst.agree)))
-    return max(abs(e1 - e2), best - 0.5 * (e1 + e2))
+    return measures._averaging_gap(inst.pair, inst.klass, inst.agree)[0]
 
 
 def _check_determinize_split(inst: _Instance, gen) -> float:

@@ -132,15 +132,21 @@ class ConditioningResult:
     region_mass: float
 
 
-def _condition(dist: DiscreteDistribution, region: np.ndarray) -> ConditioningResult:
-    """dist restricted to a point mask and renormalized. Every entry is a
-    validated mass over the region's positive total, so the conditional
-    needs no validation."""
+def _condition(dist: DiscreteDistribution, region: np.ndarray) -> ConditioningResult | None:
+    """dist restricted to a point mask and renormalized, or None where the
+    region has no mass. Every entry is a validated mass over the region's
+    positive total, so the conditional needs no validation."""
     mass = float(dist.mass[region].sum())
     if mass <= 0.0:
-        raise ValueError("empty conditioning region")
+        return None
     scaled = np.where(region[:, None], dist.mass / mass, 0.0)
     return ConditioningResult(_trusted_distribution(scaled), mass)
+
+
+def _nonempty(result: ConditioningResult | None) -> ConditioningResult:
+    if result is None:
+        raise ValueError("empty conditioning region")
+    return result
 
 
 def condition_on_agreement(dist: DiscreteDistribution, pairs) -> ConditioningResult:
@@ -152,15 +158,38 @@ def condition_on_agreement(dist: DiscreteDistribution, pairs) -> ConditioningRes
     pairs = list(pairs)
     if not pairs:
         return ConditioningResult(dist, 1.0)
-    return _condition(dist, agreement_points(pairs, dist.domain_size))
+    return _nonempty(_condition(dist, agreement_points(pairs, dist.domain_size)))
 
 
 def condition_on_disagreement(dist: DiscreteDistribution, pairs) -> ConditioningResult:
-    """Restrict to the points where some pair disagrees and renormalize."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty conditioning region: no pairs disagree anywhere")
-    return _condition(dist, ~agreement_points(pairs, dist.domain_size))
+    """Restrict to the points where some pair disagrees and renormalize.
+    With no pairs nothing disagrees, so the region is empty."""
+    return _nonempty(_condition(dist, ~agreement_points(pairs, dist.domain_size)))
+
+
+def _decomposition_gap(
+    pair, dist: DiscreteDistribution, q: float, cond: DiscreteDistribution | None
+) -> float:
+    """|e1 + e2 - (q(e1_A + e2_A) + 1 - q)|: how far a pair's error sum is
+    from its decomposition across its agreement split, of mass q and
+    conditional cond. With cond None (q = 0) the sum must be exactly 1."""
+    h1, h2 = pair
+    total = true_error(h1, dist) + true_error(h2, dist)
+    if cond is None:
+        return abs(total - 1.0)
+    rebuilt = q * (true_error(h1, cond) + true_error(h2, cond)) + (1.0 - q)
+    return abs(total - rebuilt)
+
+
+def _averaging_gap(pair, klass: HypothesisClass, cond: DiscreteDistribution) -> tuple[float, float]:
+    """max(|e1 - e2|, optimum - (e1 + e2)/2) under a pair's agreement
+    conditional cond, with the class optimum there: the pair's errors there
+    are equal and the optimum is at most their average."""
+    h1, h2 = pair
+    e1 = true_error(h1, cond)
+    e2 = true_error(h2, cond)
+    best = float(np.min(row_errors(klass, cond)))
+    return max(abs(e1 - e2), best - 0.5 * (e1 + e2)), best
 
 
 def determinize(dist: DiscreteDistribution, klass: HypothesisClass):

@@ -17,8 +17,10 @@ cores two threads gain little over one.
 Output is RFC-4180 CSV with LF endings: `#` metadata comments (version,
 kind, config hash, seed, one timestamp line that also carries the wall
 time, and the numpy version, which fixes the realized random draws), then
-a header row, then data. The timestamp line is the only part that varies
-between identical runs.
+a header row, then data. Rows are written as their row types are, a
+ResultRow or an identities.CheckAggregate with its fields as the columns,
+and None (the ERM row's r, a trace's missing pair) as an empty field. The
+timestamp line is the only part that varies between identical runs.
 
 A sweep trial never materializes its sample: the pieces the learner reads
 are drawn as count tables, two multinomial draws per trial (the estimate
@@ -40,7 +42,8 @@ A grid n too small for the fixture's d, that is below 6(d + 1), where a
 trial's filter half would not exceed d, is a ConfigError, and so is a
 rounds_scale that would give some trial more filtering rounds than its
 filter half has samples, and so is an adversary tau that chooses a domain
-of more than adversary._MAX_DOMAIN points, refused before any game.
+of more than adversary._MAX_DOMAIN points or a d above 64, both refused
+before any game.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +73,7 @@ from .core import RngStream, SamplePieces, enumerate_class
 from .engine import _round_level
 from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
-from .identities import run_identity_chunk
+from .identities import CHECKS, CheckAggregate, run_identity_chunk
 from .measures import _true_errors
 
 __all__ = [
@@ -83,18 +87,6 @@ __all__ = [
     "run",
 ]
 
-RESULT_COLUMNS = (
-    "config_hash",
-    "cell",
-    "trial_id",
-    "algorithm",
-    "n",
-    "d",
-    "tau_true",
-    "excess_error",
-    "break_reason",
-    "r",
-)
 TRACE_COLUMNS = (
     "trial_id",
     "i",
@@ -113,7 +105,6 @@ ADVERSARY_COLUMNS = (
     "tau",
     "alpha",
 )
-IDENTITY_COLUMNS = ("check", "chunk", "instances", "max_abs_deviation", "failures")
 
 _SWEEP_BATCH = 16
 """Most trials of one fixture, from any of its cells, that a sweep trains
@@ -123,13 +114,13 @@ sweep_accept's 50-trial cells (2 cores) batches of 16 and of 64 ran within
 noise of each other, and 64 held 1.3 MB more at peak."""
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One algorithm's outcome on one trial.
+class ResultRow(NamedTuple):
+    """One algorithm's outcome on one trial, its fields in column order.
 
     excess_error is measured against the class minimum tau_true, so an
     improper output that beats every hypothesis in the class reports a
-    negative excess (bounded below by the Bayes error)."""
+    negative excess (bounded below by the Bayes error). The ERM row's r is
+    None, an empty field."""
 
     config_hash: str
     cell: int
@@ -143,18 +134,11 @@ class ResultRow:
     r: int | None
 
     def csv_values(self) -> tuple:
-        return (
-            self.config_hash,
-            self.cell,
-            self.trial_id,
-            self.algorithm,
-            self.n,
-            self.d,
-            self.tau_true,
-            self.excess_error,
-            self.break_reason,
-            "" if self.r is None else self.r,
-        )
+        return tuple(self)
+
+
+RESULT_COLUMNS = ResultRow._fields
+IDENTITY_COLUMNS = CheckAggregate._fields
 
 
 @dataclass(frozen=True)
@@ -315,18 +299,17 @@ def _sweep_batch(
         trace_rows = []
         records = result.trace.records
         for index, record in enumerate(records):
-            terminal = index == len(records) - 1
-            pair = record.pair_indices
+            pair_i, pair_j = record.pair_indices or (None, None)
             trace_rows.append(
                 (
                     trial_id,
                     record.step,
                     len(record.kept),
-                    "" if record.min_error is None else record.min_error,
-                    "" if record.candidates is None else int(record.candidates.size),
-                    "" if pair is None else pair[0],
-                    "" if pair is None else pair[1],
-                    result.trace.break_reason if terminal else "",
+                    record.min_error,
+                    None if record.candidates is None else record.candidates.size,
+                    pair_i,
+                    pair_j,
+                    result.trace.break_reason if index == len(records) - 1 else "",
                 )
             )
         outcomes.append(_TrialOutcome(tuple(rows), tuple(trace_rows), result.chose_core))
@@ -456,6 +439,10 @@ def _run_lower_bound(config: ExperimentConfig, threads: int):
             )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"adversary parameters: {exc}") from exc
+    # Every game ranks its truth through binomials of d: at u = 2^24 a rank
+    # took 0.5 ms at d = 64 and 12.9 s at d = 4096.
+    if spec.d > 64:
+        raise ConfigError(f"adversary d = {spec.d} exceeds 64 negatives")
     if u < 2 * spec.d:
         raise ConfigError(f"adversary domain {u} too small for {spec.d} negatives")
     if u > _MAX_DOMAIN:
@@ -513,33 +500,21 @@ def _run_identities(config: ExperimentConfig, threads: int):
         return run_identity_chunk(config.seed, chunk, count)
 
     batches = _ordered_map(worker, list(range(chunk_count)), threads)
-    rows = [
-        (agg.check, agg.chunk, agg.instances, agg.max_abs_deviation, agg.failures)
-        for batch in batches
-        for agg in batch
-    ]
+    rows = [agg for batch in batches for agg in batch]
     summary = []
     lines = []
-    total_failures = 0
-    for check in {agg.check: None for batch in batches for agg in batch}:
-        per_check = [agg for batch in batches for agg in batch if agg.check == check]
+    for check in CHECKS:
+        per_check = [agg for agg in rows if agg.check == check]
         instances = sum(agg.instances for agg in per_check)
         failures = sum(agg.failures for agg in per_check)
         worst = max(agg.max_abs_deviation for agg in per_check)
-        total_failures += failures
         summary.append(
-            {
-                "check": check,
-                "instances": instances,
-                "failures": failures,
-                "max_abs_deviation": worst,
-            }
+            dict(check=check, instances=instances, failures=failures, max_abs_deviation=worst)
         )
         lines.append(
-            f"{check}: {instances} instances, {failures} failures, "
-            f"max deviation {worst:.3g}"
+            f"{check}: {instances} instances, {failures} failures, max deviation {worst:.3g}"
         )
-    ok = total_failures == 0
+    ok = not any(entry["failures"] for entry in summary)
     lines.append("all identity checks passed" if ok else "IDENTITY CHECK FAILURES")
     return rows, [], tuple(summary), tuple(lines), ok
 
@@ -551,28 +526,23 @@ def run(config: ExperimentConfig) -> RunResult:
     that matches the CSV contents exactly.
     """
     threads = resolve_threads(config)
+    execute, columns = {
+        "upper_sweep": (_run_upper_sweep, RESULT_COLUMNS),
+        "lower_bound": (_run_lower_bound, ADVERSARY_COLUMNS),
+        "identities": (_run_identities, IDENTITY_COLUMNS),
+    }[config.kind]
     started = time.perf_counter()
-    if config.kind == "upper_sweep":
-        rows, trace_rows, summary, lines, ok = _run_upper_sweep(config, threads)
-        csv_rows = [row.csv_values() for row in rows]
-        columns = RESULT_COLUMNS
-    elif config.kind == "lower_bound":
-        rows, trace_rows, summary, lines, ok = _run_lower_bound(config, threads)
-        csv_rows = rows
-        columns = ADVERSARY_COLUMNS
-    else:
-        rows, trace_rows, summary, lines, ok = _run_identities(config, threads)
-        csv_rows = rows
-        columns = IDENTITY_COLUMNS
+    rows, trace_rows, summary, lines, ok = execute(config, threads)
     runtime_ms = (time.perf_counter() - started) * 1000.0
 
-    _write_csv(config.output, config, columns, csv_rows, runtime_ms)
-    if config.trace_output is not None and config.kind == "upper_sweep":
+    _write_csv(config.output, config, columns, rows, runtime_ms)
+    # Only a sweep takes trace_output; the config refuses it elsewhere.
+    if config.trace_output is not None:
         _write_csv(config.trace_output, config, TRACE_COLUMNS, trace_rows, runtime_ms)
     return RunResult(
         kind=config.kind,
         output_path=config.output,
-        trace_path=config.trace_output if config.kind == "upper_sweep" else None,
+        trace_path=config.trace_output,
         rows=tuple(rows),
         trace_rows=tuple(trace_rows),
         summary=summary,

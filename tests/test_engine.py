@@ -1,5 +1,6 @@
 """Tests for the minimization engine, the bound calculators, and pair search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -346,6 +347,15 @@ class TestErmReferenceRate:
         assert erm_reference_rate(n, d, delta, tau) == pytest.approx(
             expected, rel=1e-14
         )
+
+    def test_is_tau_plus_the_deviation_bound(self):
+        """The root and additive terms are deviation_bound's at beta = tau,
+        bit for bit."""
+        grid = itertools.product(
+            (20, 1000, 10**4, 10**9), (1, 3, 10), (0.01, 0.1, 0.5), (0.0, 1e-6, 0.05, 1 / math.e, 0.5, 1.0)
+        )
+        for n, d, delta, tau in grid:
+            assert erm_reference_rate(n, d, delta, tau) == tau + deviation_bound(n, d, delta, tau)
 
     def test_monotone_below_knee(self):
         taus = np.linspace(1e-4, 1 / math.e, 60)

@@ -25,6 +25,7 @@ from paclab import (
     deviation_bound,
     diagnose_failure_events,
     exact_progress_report,
+    measures,
     sample_dataset,
     train,
     two_experts,
@@ -358,6 +359,57 @@ class TestExactProgressReport:
         assert len(report.records) == 1
         assert report.records[0].disagreement_mass == 0.0
         assert report.records[0].best_conditional_error == pytest.approx(0.5)
+
+
+class TestSharedIdentities:
+    """exact_progress_report asserts the gaps that measures computes: a gap
+    that reads 1 stops the report at the step that took it."""
+
+    def pair_trace(self):
+        fx = two_experts(0.3)
+        pair = (fx.klass.hypothesis(0), fx.klass.hypothesis(1))
+        return make_trace(selected=[pair]), fx.klass, fx.distribution
+
+    def test_a_broken_decomposition_names_step_1(self, monkeypatch):
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        with pytest.raises(RuntimeError, match=r"^step 1: .*decomposition by 1\.0"):
+            exact_progress_report(*self.pair_trace())
+
+    def test_a_broken_decomposition_names_a_pair_without_agreement_mass(
+        self, monkeypatch, complement_pair_class
+    ):
+        pair = (complement_pair_class.hypothesis(0), complement_pair_class.hypothesis(1))
+        dist = DiscreteDistribution.uniform_deterministic(np.ones(2, dtype=np.int8))
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        with pytest.raises(RuntimeError, match="^step 1: "):
+            exact_progress_report(make_trace(selected=[pair]), complement_pair_class, dist)
+
+    def test_a_broken_averaging_bound_names_step_1(self, monkeypatch):
+        monkeypatch.setattr(measures, "_averaging_gap", lambda pair, klass, cond: (1.0, 0.0))
+        with pytest.raises(RuntimeError, match=r"^step 1: the averaging bound fails by 1\.0"):
+            exact_progress_report(*self.pair_trace())
+
+    def test_the_report_passes_each_step_the_split_it_records(self, monkeypatch):
+        """The optimum each step's averaging gap returns is the next
+        record's, so row_errors runs once per step."""
+        seen = []
+        real = measures._averaging_gap
+
+        def recording(pair, klass, cond):
+            gap, best = real(pair, klass, cond)
+            seen.append(best)
+            return gap, best
+
+        monkeypatch.setattr(measures, "_averaging_gap", recording)
+        a = hyp(-1, -1, 1, 1, 1, -1)
+        b = hyp(1, 1, 1, 1, 1, -1)
+        c = hyp(1, 1, -1, 1, -1, 1)
+        e = hyp(1, 1, 1, 1, -1, 1)
+        klass = HypothesisClass(np.stack([h.labels for h in (a, b, c, e)]))
+        dist = DiscreteDistribution.uniform_deterministic(np.ones(6, dtype=np.int8))
+        report = exact_progress_report(make_trace(selected=[(a, b), (c, e)]), klass, dist)
+        assert [r.best_conditional_error for r in report.records[1:]] == seen
+        assert len(seen) == 2
 
 
 class TestTrainedProgressEndToEnd:

@@ -1,5 +1,7 @@
 """Tests for the named experiment families and their registry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,28 @@ class TestDsubsetAdversary:
             dsubset_adversary(u=6, tau=0.1)
         with pytest.raises(ValueError, match="exactly one"):
             dsubset_adversary()
+
+    def test_a_huge_class_is_refused_before_any_binomial(self, monkeypatch):
+        """With both d and u - d at least 12 the class has at least
+        C(24, 12) rows, past the cap, and is refused before math.comb, whose
+        cost at u = 2 * 10^6, d = 10^6 is minutes."""
+        real_comb = math.comb
+
+        def small_comb(n, k):
+            assert min(k, n - k) < 1000, f"math.comb({n}, {k}) takes the slow path"
+            return real_comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        for u, d in ((2_000_000, 1_000_000), (24, 12), (10**6, 12)):
+            message = rf"class of C\({u}, {d}\) rows exceeds the enumeration cap"
+            with pytest.raises(ValueError, match=message):
+                dsubset_adversary(u=u, d=d, alpha=0.5)
+        with pytest.raises(ValueError, match=r"class of C\(2000000, 1000\) rows"):
+            dsubset_adversary(tau=0.00025, d=1000, alpha=0.5)
+        # Below the refusal the enumeration cap still decides.
+        with pytest.raises(ValueError, match="class of size 1352078 exceeds the enumeration cap"):
+            dsubset_adversary(u=23, d=11, alpha=0.5)
+        assert len(dsubset_adversary(u=22, d=11, alpha=0.5).klass) == 705432
 
 
 class TestAvailableFixtures:

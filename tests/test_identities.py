@@ -14,6 +14,7 @@ from paclab import (
     condition_on_agreement,
     condition_on_disagreement,
     identities,
+    measures,
     run_identity_chunk,
 )
 
@@ -139,6 +140,45 @@ class TestSplit:
                 assert public.region_mass == mass
                 assert side.mass.tobytes() == public.conditional.mass.tobytes()
         assert sides[True] > 0 and sides[False] > 0
+
+
+class TestSharedIdentities:
+    """The pair_decomposition and average_bound checks are the gaps that
+    measures computes, so a gap that reads 1 fails every instance that
+    takes it, and no other check."""
+
+    def test_a_broken_decomposition_fails_every_instance(self, monkeypatch):
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        aggregates = {a.check: a for a in run_identity_chunk(seed=6, chunk=0, instances=40)}
+        assert aggregates["pair_decomposition"].failures == 40
+        assert aggregates["pair_decomposition"].max_abs_deviation == 1.0
+        assert [name for name, a in aggregates.items() if a.failures] == ["pair_decomposition"]
+
+    def test_a_broken_averaging_bound_fails_every_instance_it_reads(self, monkeypatch):
+        """The bound is taken on every instance whose pair agrees on some
+        mass; the others pass without it."""
+        taken = []
+
+        def broken(pair, klass, cond):
+            taken.append(pair)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(measures, "_averaging_gap", broken)
+        aggregates = {a.check: a for a in run_identity_chunk(seed=6, chunk=0, instances=200)}
+        assert 0 < len(taken) < 200
+        assert aggregates["average_bound"].failures == len(taken)
+        assert aggregates["average_bound"].max_abs_deviation == 1.0
+        assert [name for name, a in aggregates.items() if a.failures] == ["average_bound"]
+
+    def test_the_checks_return_the_gaps(self):
+        for inst, gen in random_instances(75, 200):
+            assert identities._check_pair_decomposition(inst, gen) == measures._decomposition_gap(
+                inst.pair, inst.dist, inst.agree_mass, inst.agree
+            )
+            expected = 0.0
+            if inst.agree is not None:
+                expected = measures._averaging_gap(inst.pair, inst.klass, inst.agree)[0]
+            assert identities._check_average_bound(inst, gen) == expected
 
 
 class TestCompositeRouting:

@@ -23,6 +23,7 @@ from paclab import (
     true_error,
     vc_dimension_bruteforce,
 )
+from paclab import measures
 from paclab.measures import agreement_points
 
 from conftest import hyp
@@ -137,6 +138,40 @@ class TestConditioning:
         ]
         mask = agreement_points(pairs, 4)
         assert mask.tolist() == [False, False, True, True]
+
+
+class TestConditionRegion:
+    """measures._condition is the one split: None where a region has no
+    mass, and the public wrappers refuse exactly that."""
+
+    def test_a_region_without_mass_is_none(self, uniform_positive_4):
+        assert measures._condition(uniform_positive_4, np.zeros(4, dtype=bool)) is None
+        # A region whose points all carry zero mass is empty too.
+        dist = DiscreteDistribution.deterministic(
+            np.array([0.5, 0.5, 0.0, 0.0]), np.ones(4, dtype=np.int8)
+        )
+        assert measures._condition(dist, np.array([False, False, True, True])) is None
+        pair = (hyp(1, 1, 1, 1), hyp(1, 1, -1, -1))
+        with pytest.raises(ValueError, match="^empty conditioning region$"):
+            condition_on_disagreement(dist, [pair])
+        assert condition_on_agreement(dist, [pair]).region_mass == 1.0
+
+    def test_both_wrappers_still_refuse(self, uniform_positive_4):
+        same = (hyp(1, 1, 1, 1), hyp(1, 1, 1, 1))
+        opposite = (hyp(1, 1, 1, 1), hyp(-1, -1, -1, -1))
+        with pytest.raises(ValueError, match="^empty conditioning region$"):
+            condition_on_agreement(uniform_positive_4, [opposite])
+        for pairs in ([same], []):
+            with pytest.raises(ValueError, match="^empty conditioning region$"):
+                condition_on_disagreement(uniform_positive_4, pairs)
+
+    def test_a_region_with_mass_is_the_public_conditional(self, uniform_positive_4):
+        pair = (hyp(1, 1, 1, 1), hyp(1, 1, 1, -1))
+        region = agreement_points([pair], 4)
+        split = measures._condition(uniform_positive_4, region)
+        public = condition_on_agreement(uniform_positive_4, [pair])
+        assert split.region_mass == public.region_mass == 0.75
+        assert split.conditional.mass.tobytes() == public.conditional.mass.tobytes()
 
 
 class TestDeterminize:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -403,6 +404,17 @@ cap = 576
         )
         with pytest.raises(ConfigError, match="adversary parameters"):
             run(broken)
+
+    def test_d_stops_at_64(self, tmp_path):
+        """d = 64 plays its games; d = 65 is refused before any game."""
+        config = self._config(tmp_path, trials=2)
+        at_cap = parse_config_text(config.source_text.replace("d = 2", "d = 64"))
+        assert len(run(at_cap).rows) == 2
+        over = parse_config_text(config.source_text.replace("d = 2", "d = 65"))
+        (tmp_path / "lb.csv").unlink()
+        with pytest.raises(ConfigError, match="adversary d = 65 exceeds 64 negatives"):
+            run(over)
+        assert not (tmp_path / "lb.csv").exists()
 
 
 class TestIdentitiesRun:
@@ -807,6 +819,41 @@ class TestRunSizeCaps:
         )
         assert main(["run", str(path)]) == 2
         assert f"line 4: 'trials' must be at most {_MAX_TRIALS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "kind = lower_bound\nseed = 1\ntrials = 1\n{output}\n\n[adversary]\n"
+                "u = 200000\nd = 100000\nn = 10\ncap = 3\nskew = 0.0\n",
+                "adversary d = 100000 exceeds 64 negatives",
+            ),
+            (
+                "kind = upper_sweep\nseed = 1\ntrials = 1\n{output}\n\n[grid]\nn = 30000000\n\n"
+                "[fixture]\nfamily = dsubset_adversary\nu = 2000000\nd = 1000000\nalpha = 0.5\n",
+                "fixture 'dsubset_adversary': class of C(2000000, 1000000) rows exceeds the "
+                "enumeration cap",
+            ),
+        ],
+        ids=["lower_bound", "upper_sweep"],
+    )
+    def test_a_huge_d_is_a_config_error(self, tmp_path, capsys, monkeypatch, body, message):
+        """Both configs ran for minutes in big binomials before the bound on
+        [adversary] d and the fixture's refusal."""
+        real_comb = math.comb
+
+        def small_comb(n, k):
+            assert min(k, n - k) < 1000, f"math.comb({n}, {k}) takes the slow path"
+            return real_comb(n, k)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        path = tmp_path / "huge_d.cfg"
+        output = f"output = {tmp_path / 'out.csv'}"
+        path.write_text("[experiment]\n" + body.format(output=output), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_a_fixture_tau_beside_a_grid_tau_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "both.cfg"
