@@ -42,6 +42,8 @@ from .core import (
     Hypothesis,
     RngStream,
     _cell_probabilities,
+    _integer,
+    _multinomial_run,
     _restart,
     _subset_rank,
     _trusted_hypothesis,
@@ -104,7 +106,7 @@ class AdversaryInstance:
         if not 0.0 <= self.skew < 1.0:
             raise ValueError(f"skew must lie in [0, 1), got {self.skew}")
         total = math.comb(self.domain_size, self.negatives)
-        if not 0 <= self.truth_rank < total:
+        if not 0 <= _integer(self.truth_rank, "truth_rank") < total:
             raise ValueError(f"truth_rank {self.truth_rank} out of range for {total} labelings")
 
     def truth_negative_points(self) -> np.ndarray:
@@ -321,7 +323,8 @@ def _play_chunk(
     # Per game only its draws, in their order, from one generator re-keyed
     # to the game's stream (the RngStream checks the stream's range): the
     # truth, then the sample from the mass table build_distribution makes,
-    # normalized by core._cell_probabilities as every draw normalizes it.
+    # drawn through core._cell_probabilities and core._multinomial_run as
+    # every sample is drawn.
     mass = np.zeros((u, 2))
     gen = rng.generator()
     for k, j in enumerate(indices):
@@ -331,7 +334,7 @@ def _play_chunk(
         ranks.append(_subset_rank(u, d, truth))
         marginals[k, truth] = light
         mass[:, 1] = marginals[k]
-        counts[k] = gen.multinomial(n, _cell_probabilities(mass)).reshape(u, 2)
+        counts[k] = _multinomial_run(gen, _cell_probabilities(mass), [n], u)[0]
     counts.setflags(write=False)
 
     labels = np.empty((games, u), dtype=np.int8)

@@ -41,6 +41,7 @@ measures.row_errors the rows of its mass products.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -87,6 +88,16 @@ _FLOAT_EXACT = 2**53
 _UINT64 = 2**64
 
 
+def _integer(value, what: str) -> int:
+    """value as an int if it is a Python or numpy integer, else a
+    ValueError: a float, even a whole one, is refused before any cast
+    could truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable randomness: equal (seed, stream) pairs give equal draws.
@@ -105,10 +116,9 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < _UINT64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.stream < _UINT64:
-            raise ValueError("stream must fit in an unsigned 64-bit integer")
+        for name in ("seed", "stream"):
+            if not 0 <= _integer(getattr(self, name), name) < _UINT64:
+                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -217,13 +227,14 @@ class HypothesisClass:
         lazy; individual members come from unranking, which works at any
         size. The dimension of this family is d, recorded as declared_vc.
         """
+        u, d = _integer(u, "u"), _integer(d, "d")
         if d < 1 or u <= d:
             raise ValueError("need 1 <= d < u")
         self = cls.__new__(cls)
         self._matrix = None
-        self._negative_spec = (int(u), int(d))
-        self.domain_size = int(u)
-        self.declared_vc = int(d)
+        self._negative_spec = (u, d)
+        self.domain_size = u
+        self.declared_vc = d
         return self
 
     @property
@@ -259,6 +270,7 @@ class HypothesisClass:
 
     def hypothesis(self, index: int) -> Hypothesis:
         """Member at a canonical index, without forcing enumeration."""
+        index = _integer(index, "index")
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for class of size {self.size}")
         if self._matrix is not None:
@@ -358,6 +370,7 @@ def enumerate_class(klass: HypothesisClass) -> HypothesisClass:
 
 def subset_unrank(u: int, d: int, rank: int) -> np.ndarray:
     """The sorted d-subset of range(u) at a lexicographic rank."""
+    rank = _integer(rank, "rank")
     if not 0 <= rank < math.comb(u, d):
         raise ValueError(f"rank {rank} out of range for {u} choose {d}")
     out = np.empty(d, dtype=np.int64)
@@ -376,11 +389,17 @@ def subset_unrank(u: int, d: int, rank: int) -> np.ndarray:
 
 
 def subset_rank(u: int, d: int, subset) -> int:
-    """Lexicographic rank of a strictly increasing d-subset of range(u)."""
-    arr = np.asarray(subset, dtype=np.int64)
-    if arr.size != d or (np.diff(arr) <= 0).any() or arr[0] < 0 or arr[-1] >= u:
-        raise ValueError("subset must be strictly increasing within range(u)")
-    return _subset_rank(u, d, arr.tolist())
+    """Lexicographic rank of a strictly increasing d-subset of range(u),
+    given as integers; the empty subset ranks 0."""
+    arr = np.asarray(subset)
+    fenced = [-1, *arr.ravel().tolist(), u]
+    if (
+        arr.shape != (d,)
+        or (d and arr.dtype.kind not in "iu")
+        or any(a >= b for a, b in zip(fenced, fenced[1:]))
+    ):
+        raise ValueError("subset must be d strictly increasing integers within range(u)")
+    return _subset_rank(u, d, fenced[1:-1])
 
 
 def _subset_rank(u: int, d: int, subset: list) -> int:

@@ -640,8 +640,8 @@ def exact_progress_report(
     never asserted. If a pair's agreement region carries zero true mass the
     q = 0 form of the decomposition (error sum equals one) is checked and
     the report truncates, since later conditionals are undefined. Each
-    conditional's optimum is computed once: the optimum a step checks
-    against its pair's average is the next record's.
+    pair splits once (measures._pair_split) for both identities and the
+    running agreement mask; each optimum is computed once, as the next record's.
     """
     pair_total = trace.pair_count
     best = base_error = float(np.min(measures.row_errors(klass, dist)))
@@ -650,12 +650,16 @@ def exact_progress_report(
     else:
         decay_factor = 0.0
     marginal = dist.point_marginal()
+    agreement = np.ones(dist.domain_size, dtype=bool)
 
     records = []
     current = dist
     for step in range(1, pair_total + 2):
-        mask = measures.agreement_points(trace.selected[:step], dist.domain_size)
-        disagreement_mass = float(marginal[~mask].sum())
+        split = None
+        if step <= pair_total:
+            split = measures._pair_split(current, trace.selected[step - 1])
+            agreement &= split.agreement
+        disagreement_mass = float(marginal[~agreement].sum())
         decay_bound = base_error * decay_factor ** (step - 1)
         mass_bound = 8.0 * (base_error - best)
         records.append(
@@ -669,24 +673,20 @@ def exact_progress_report(
                 within_mass=disagreement_mass <= mass_bound + 1e-9,
             )
         )
-        if step > pair_total:
+        if split is None:
             break
-        pair = trace.selected[step - 1]
-        split = measures._condition(current, measures.agreement_points([pair], dist.domain_size))
-        nxt = None if split is None else split.conditional
-        q = 0.0 if split is None else split.region_mass
-        gap = measures._decomposition_gap(pair, current, q, nxt)
+        gap = measures._decomposition_gap(split)
         if gap > 1e-9:
             raise RuntimeError(
                 f"step {step}: the pair's error sum misses its decomposition by {gap!r}"
             )
-        if nxt is None:
+        if split.agree is None:
             break
-        gap, next_best = measures._averaging_gap(pair, klass, nxt)
+        gap, next_best = measures._averaging_gap(split, klass)
         if gap > 1e-9:
             raise RuntimeError(
                 f"step {step}: the averaging bound fails by {gap!r}: the pair's "
                 "conditional errors differ or the conditional optimum exceeds their average"
             )
-        current, best = nxt, next_best
+        current, best = split.agree, next_best
     return ProgressReport(base_error, tuple(records))

@@ -8,13 +8,13 @@ error decomposition through the difference-indicator split, and routing
 completeness of the composite classifier. All are exact up to floating
 point, so a deviation above 1e-9 fails and any failure is a real defect.
 
-Each instance conditions once: one agreement mask of its pair gives both
-region masses and both conditionals (measures._condition), shared by the
-three checks that read them. Conditioning draws nothing, so every check
-draws what it drew when each conditioned on its own. The decomposition
-and averaging checks return measures._decomposition_gap and
-measures._averaging_gap, the identities experts.exact_progress_report
-asserts on a training trace. A chunk's aggregates are selftest CSV rows.
+Each instance splits its pair once (measures._pair_split: both region
+masses, both conditionals, the pair's errors) for the three checks that
+read the split. Splitting draws nothing, so every check draws what it drew
+when each conditioned on its own. The decomposition and averaging checks
+return measures._decomposition_gap and measures._averaging_gap, the
+identities experts.exact_progress_report asserts on a training trace. A
+chunk's aggregates are selftest CSV rows.
 
 Chunks are independently seeded, which lets the runner spread them over
 threads without changing any result.
@@ -77,55 +77,30 @@ def _random_instance(gen: np.random.Generator):
     return klass, dist
 
 
-class _Instance(NamedTuple):
-    """A random class and distribution, a pair of distinct members, and the
-    pair's agreement split of the distribution: the mass of each side and,
-    where that mass is positive, the distribution conditioned on the side
-    (None where it is not)."""
-
-    klass: HypothesisClass
-    dist: DiscreteDistribution
-    pair: tuple[Hypothesis, Hypothesis]
-    agree_mass: float
-    disagree_mass: float
-    agree: DiscreteDistribution | None
-    disagree: DiscreteDistribution | None
+def _check_pair_decomposition(klass: HypothesisClass, split: measures._PairSplit, gen) -> float:
+    return measures._decomposition_gap(split)
 
 
-def _split(klass: HypothesisClass, dist: DiscreteDistribution, pair) -> _Instance:
-    """The instance with its pair's agreement split, conditioned once for
-    every check that reads it. Conditioning draws nothing."""
-    mask = measures.agreement_points([pair], dist.domain_size)
-    sides = [measures._condition(dist, region) for region in (mask, ~mask)]
-    masses = [0.0 if side is None else side.region_mass for side in sides]
-    conditionals = [None if side is None else side.conditional for side in sides]
-    return _Instance(klass, dist, pair, *masses, *conditionals)
-
-
-def _check_pair_decomposition(inst: _Instance, gen) -> float:
-    return measures._decomposition_gap(inst.pair, inst.dist, inst.agree_mass, inst.agree)
-
-
-def _check_total_probability(inst: _Instance, gen) -> float:
-    h = inst.klass.hypothesis(int(gen.integers(len(inst.klass))))
-    er = measures.true_error(h, inst.dist)
+def _check_total_probability(klass: HypothesisClass, split: measures._PairSplit, gen) -> float:
+    h = klass.hypothesis(int(gen.integers(len(klass))))
+    er = measures.true_error(h, split.dist)
     agree_part = 0.0
-    if inst.agree is not None:
-        agree_part = inst.agree_mass * measures.true_error(h, inst.agree)
+    if split.agree is not None:
+        agree_part = split.agree_mass * measures.true_error(h, split.agree)
     disagree_part = 0.0
-    if inst.disagree is not None:
-        disagree_part = inst.disagree_mass * measures.true_error(h, inst.disagree)
+    if split.disagree is not None:
+        disagree_part = split.disagree_mass * measures.true_error(h, split.disagree)
     return abs(er - (agree_part + disagree_part))
 
 
-def _check_average_bound(inst: _Instance, gen) -> float:
-    if inst.agree is None:
+def _check_average_bound(klass: HypothesisClass, split: measures._PairSplit, gen) -> float:
+    if split.agree is None:
         return 0.0
-    return measures._averaging_gap(inst.pair, inst.klass, inst.agree)[0]
+    return measures._averaging_gap(split, klass)[0]
 
 
-def _check_determinize_split(inst: _Instance, gen) -> float:
-    det_dist, det_klass, concept = measures.determinize(inst.dist, inst.klass)
+def _check_determinize_split(klass: HypothesisClass, split: measures._PairSplit, gen) -> float:
+    det_dist, det_klass, concept = measures.determinize(split.dist, klass)
     sample = SamplePieces.drawn(det_dist, 32, gen).take(32)
     i = int(gen.integers(len(det_klass)))
     i0 = int(gen.integers(len(det_klass)))
@@ -145,10 +120,9 @@ def _check_determinize_split(inst: _Instance, gen) -> float:
     return abs(lhs - rhs)
 
 
-def _check_composite_routing(inst: _Instance, gen) -> float:
-    klass = inst.klass
+def _check_composite_routing(klass: HypothesisClass, split: measures._PairSplit, gen) -> float:
     pair_count = int(gen.integers(1, 3))
-    pairs = [inst.pair]
+    pairs = [split.pair]
     for _ in range(pair_count - 1):
         pairs.append(_draw_pair(klass, gen))
     on_agree = klass.hypothesis(int(gen.integers(len(klass))))
@@ -199,9 +173,9 @@ def run_identity_chunk(seed: int, chunk: int, instances: int) -> list[CheckAggre
     failures = dict.fromkeys(CHECKS, 0)
     for _ in range(instances):
         klass, dist = _random_instance(gen)
-        instance = _split(klass, dist, _draw_pair(klass, gen))
+        split = measures._pair_split(dist, _draw_pair(klass, gen))
         for name, check in _CHECK_FUNCTIONS.items():
-            deviation = check(instance, gen)
+            deviation = check(klass, split, gen)
             if deviation > worst[name]:
                 worst[name] = deviation
             if deviation > _TOLERANCE:

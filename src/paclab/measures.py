@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,28 +168,51 @@ def condition_on_disagreement(dist: DiscreteDistribution, pairs) -> Conditioning
     return _nonempty(_condition(dist, ~agreement_points(pairs, dist.domain_size)))
 
 
-def _decomposition_gap(
-    pair, dist: DiscreteDistribution, q: float, cond: DiscreteDistribution | None
-) -> float:
+class _PairSplit(NamedTuple):
+    """A pair's agreement split of dist: the mask, each side's mass and
+    conditional (None without mass), and the pair's two true errors under
+    dist and under the agreement conditional (None without it)."""
+
+    dist: DiscreteDistribution
+    pair: tuple[Hypothesis, Hypothesis]
+    agreement: np.ndarray
+    agree_mass: float
+    disagree_mass: float
+    agree: DiscreteDistribution | None
+    disagree: DiscreteDistribution | None
+    errors: tuple[float, float]
+    agree_errors: tuple[float, float] | None
+
+
+def _pair_split(dist: DiscreteDistribution, pair) -> _PairSplit:
+    """The pair's split of dist, conditioned once for every identity."""
+    mask = agreement_points([pair], dist.domain_size)
+    sides = [_condition(dist, region) for region in (mask, ~mask)]
+    masses = [0.0 if side is None else side.region_mass for side in sides]
+    agree, disagree = [None if side is None else side.conditional for side in sides]
+    errors = tuple(true_error(h, dist) for h in pair)
+    agree_errors = None if agree is None else tuple(true_error(h, agree) for h in pair)
+    return _PairSplit(dist, pair, mask, *masses, agree, disagree, errors, agree_errors)
+
+
+def _decomposition_gap(split: _PairSplit) -> float:
     """|e1 + e2 - (q(e1_A + e2_A) + 1 - q)|: how far a pair's error sum is
-    from its decomposition across its agreement split, of mass q and
-    conditional cond. With cond None (q = 0) the sum must be exactly 1."""
-    h1, h2 = pair
-    total = true_error(h1, dist) + true_error(h2, dist)
-    if cond is None:
+    from its decomposition across its agreement split, of mass q. Without
+    an agreement conditional (q = 0) the sum must be exactly 1."""
+    e1, e2 = split.errors
+    total = e1 + e2
+    if split.agree is None:
         return abs(total - 1.0)
-    rebuilt = q * (true_error(h1, cond) + true_error(h2, cond)) + (1.0 - q)
-    return abs(total - rebuilt)
+    a1, a2 = split.agree_errors
+    return abs(total - (split.agree_mass * (a1 + a2) + (1.0 - split.agree_mass)))
 
 
-def _averaging_gap(pair, klass: HypothesisClass, cond: DiscreteDistribution) -> tuple[float, float]:
-    """max(|e1 - e2|, optimum - (e1 + e2)/2) under a pair's agreement
-    conditional cond, with the class optimum there: the pair's errors there
-    are equal and the optimum is at most their average."""
-    h1, h2 = pair
-    e1 = true_error(h1, cond)
-    e2 = true_error(h2, cond)
-    best = float(np.min(row_errors(klass, cond)))
+def _averaging_gap(split: _PairSplit, klass: HypothesisClass) -> tuple[float, float]:
+    """max(|e1 - e2|, optimum - (e1 + e2)/2) under a split's agreement
+    conditional, with the class optimum there: the pair's errors there are
+    equal and the optimum is at most their average."""
+    e1, e2 = split.agree_errors
+    best = float(np.min(row_errors(klass, split.agree)))
     return max(abs(e1 - e2), best - 0.5 * (e1 + e2)), best
 
 

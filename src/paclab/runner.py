@@ -133,9 +133,6 @@ class ResultRow(NamedTuple):
     break_reason: str
     r: int | None
 
-    def csv_values(self) -> tuple:
-        return tuple(self)
-
 
 RESULT_COLUMNS = ResultRow._fields
 IDENTITY_COLUMNS = CheckAggregate._fields

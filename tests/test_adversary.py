@@ -59,6 +59,13 @@ class TestAdversaryInstance:
         with pytest.raises(ValueError, match="truth_rank"):
             AdversaryInstance(4, 2, 0.1, 6)
 
+    def test_a_non_integer_truth_rank_is_refused(self):
+        for bad in (1.5, 1.0, np.float64(1)):
+            with pytest.raises(ValueError, match="truth_rank must be an integer"):
+                AdversaryInstance(6, 2, 0.1, bad)
+        ranked = AdversaryInstance(6, 2, 0.1, np.int64(1))
+        assert ranked.truth_negative_points().tolist() == [0, 2]
+
     def test_truth_points_follow_the_rank(self):
         instance = AdversaryInstance(5, 2, 0.1, 0)
         assert instance.truth_negative_points().tolist() == [0, 1]

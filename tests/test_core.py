@@ -65,6 +65,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
+    def test_rejects_non_integer_keys(self):
+        """A whole float is not truncated into a key; numpy integers pass."""
+        for seed, stream in [(1.5, 0), (1.0, 0), (1, 2.0), (np.float64(1), 0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                RngStream(seed, stream)
+        np.testing.assert_array_equal(
+            RngStream(np.int64(1), np.uint64(2)).generator().random(4),
+            RngStream(1, 2).generator().random(4),
+        )
+
     @pytest.mark.parametrize(
         "a, b",
         [((2**63, 0), (2**63 + 1, 0)), ((2**64 - 1, 0), (0, 0)),
@@ -172,6 +182,19 @@ class TestHypothesisClass:
         with pytest.raises(ValueError):
             klass.hypothesis(3)
 
+    def test_non_integer_indices_are_refused_lazy_or_enumerated(self):
+        """A lazy class unranks, an enumerated one indexes its matrix: both
+        refuse a float index alike, and both take a numpy integer."""
+        lazy = HypothesisClass.with_exact_negatives(6, 2)
+        enumerated = enumerate_class(HypothesisClass.with_exact_negatives(6, 2))
+        for klass in (lazy, enumerated):
+            for bad in (1.5, 1.0, np.float64(1)):
+                with pytest.raises(ValueError, match="index must be an integer"):
+                    klass.hypothesis(bad)
+            np.testing.assert_array_equal(klass.hypothesis(np.int64(1)).labels,
+                                          klass.hypothesis(1).labels)
+        assert not lazy.is_enumerated
+
 
 class TestExactNegativesFamily:
     def test_size_without_enumeration(self):
@@ -215,6 +238,9 @@ class TestExactNegativesFamily:
             HypothesisClass.with_exact_negatives(3, 3)
         with pytest.raises(ValueError):
             HypothesisClass.with_exact_negatives(3, 0)
+        for u, d in [(6.5, 2), (6, 2.9), (6.0, 2)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                HypothesisClass.with_exact_negatives(u, d)
 
 
 class TestSubsetRanking:
@@ -245,6 +271,26 @@ class TestSubsetRanking:
         for bad in ([2, 1, 0], [0, 1, 1], [0, 1], [0, 1, 2, 3], [-1, 1, 2], [0, 1, 6]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 subset_rank(6, 3, np.array(bad))
+
+    def test_rank_refuses_non_integer_elements(self):
+        for bad in ([1.5, 3], [1.0, 3], np.array([1, 3], dtype=np.float64)):
+            with pytest.raises(ValueError, match="strictly increasing integers"):
+                subset_rank(5, 2, bad)
+        for good in ([1, 3], np.array([1, 3], dtype=np.uint8), (np.int64(1), np.int64(3))):
+            assert subset_rank(5, 2, good) == 5
+
+    def test_the_empty_subset_ranks_0(self):
+        assert subset_unrank(5, 0, 0).tolist() == []
+        assert subset_rank(5, 0, []) == 0
+        assert subset_rank(5, 0, np.array([], dtype=np.int64)) == 0
+        with pytest.raises(ValueError):
+            subset_rank(5, 0, [0])
+
+    def test_unrank_refuses_a_non_integer_rank(self):
+        for bad in (1.5, 1.0, np.float64(1)):
+            with pytest.raises(ValueError, match="rank must be an integer"):
+                subset_unrank(6, 2, bad)
+        assert subset_unrank(6, 2, np.int64(1)).tolist() == subset_unrank(6, 2, 1).tolist()
 
 
 class TestDiscreteDistribution:

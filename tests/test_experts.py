@@ -24,6 +24,7 @@ from paclab import (
     core_train,
     deviation_bound,
     diagnose_failure_events,
+    dsubset_adversary,
     exact_progress_report,
     measures,
     sample_dataset,
@@ -371,7 +372,7 @@ class TestSharedIdentities:
         return make_trace(selected=[pair]), fx.klass, fx.distribution
 
     def test_a_broken_decomposition_names_step_1(self, monkeypatch):
-        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda split: 1.0)
         with pytest.raises(RuntimeError, match=r"^step 1: .*decomposition by 1\.0"):
             exact_progress_report(*self.pair_trace())
 
@@ -380,12 +381,12 @@ class TestSharedIdentities:
     ):
         pair = (complement_pair_class.hypothesis(0), complement_pair_class.hypothesis(1))
         dist = DiscreteDistribution.uniform_deterministic(np.ones(2, dtype=np.int8))
-        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda split: 1.0)
         with pytest.raises(RuntimeError, match="^step 1: "):
             exact_progress_report(make_trace(selected=[pair]), complement_pair_class, dist)
 
     def test_a_broken_averaging_bound_names_step_1(self, monkeypatch):
-        monkeypatch.setattr(measures, "_averaging_gap", lambda pair, klass, cond: (1.0, 0.0))
+        monkeypatch.setattr(measures, "_averaging_gap", lambda split, klass: (1.0, 0.0))
         with pytest.raises(RuntimeError, match=r"^step 1: the averaging bound fails by 1\.0"):
             exact_progress_report(*self.pair_trace())
 
@@ -395,8 +396,8 @@ class TestSharedIdentities:
         seen = []
         real = measures._averaging_gap
 
-        def recording(pair, klass, cond):
-            gap, best = real(pair, klass, cond)
+        def recording(split, klass):
+            gap, best = real(split, klass)
             seen.append(best)
             return gap, best
 
@@ -422,3 +423,53 @@ class TestTrainedProgressEndToEnd:
         assert len(report.records) == result.trace.pair_count + 1
         events = diagnose_failure_events(result.trace, fx.klass, fx.distribution)
         assert len(events.iterations) <= len(result.trace.records)
+
+
+def reference_progress(trace, klass, dist):
+    """exact_progress_report walked step by step from the public measures:
+    each conditional is the previous one conditioned on its pair's
+    agreement region, each disagreement mass the original marginal off the
+    first pairs' agreement region."""
+    u = dist.domain_size
+    base = float(np.min(measures.row_errors(klass, dist)))
+    factor = 1.0 - 1.0 / (32.0 * max(math.log(1.0 / base), 1.0)) if base > 0 else 0.0
+    records = []
+    current = dist
+    for step in range(1, trace.pair_count + 2):
+        best = float(np.min(measures.row_errors(klass, current)))
+        mask = measures.agreement_points(trace.selected[:step], u)
+        off = float(dist.point_marginal()[~mask].sum())
+        decay = base * factor ** (step - 1)
+        mass_bound = 8.0 * (base - best)
+        records.append((step, best, off, decay, best <= decay + 1e-9,
+                        mass_bound, off <= mass_bound + 1e-9))
+        if step > trace.pair_count:
+            break
+        h1, h2 = trace.selected[step - 1]
+        split = measures._condition(current, measures.agreement_points([(h1, h2)], u))
+        assert split is not None
+        current = split.conditional
+        assert measures.true_error(h1, current) == pytest.approx(
+            measures.true_error(h2, current), abs=1e-9
+        )
+    return base, records
+
+
+class TestTrainedProgressMatchesReference:
+    def test_filter_regime_trace(self):
+        """On traces from the regime whose filtering loop records pairs,
+        the report equals the reference walk field for field, bit for bit."""
+        fx = dsubset_adversary(u=30, d=3, alpha=0.5)
+        consts = TheoryConstants(exit_scale=1e-3)
+        for seed in (1, 2, 3):
+            data = sample_dataset(fx.distribution, 30_000, RngStream(seed, 1))
+            trace = train(data, fx.klass, fx.vc_dim, 0.1, consts).trace
+            assert trace.pair_count >= 2
+            report = exact_progress_report(trace, fx.klass, fx.distribution)
+            base, records = reference_progress(trace, fx.klass, fx.distribution)
+            assert report.base_error == base
+            assert [
+                (r.step, r.best_conditional_error, r.disagreement_mass, r.decay_bound,
+                 r.within_decay, r.mass_bound, r.within_mass)
+                for r in report.records
+            ] == records

@@ -116,7 +116,7 @@ def random_instances(seed, count):
     gen = RngStream(seed, 1).generator()
     for _ in range(count):
         klass, dist = identities._random_instance(gen)
-        yield identities._split(klass, dist, identities._draw_pair(klass, gen)), gen
+        yield klass, measures._pair_split(dist, identities._draw_pair(klass, gen)), gen
 
 
 class TestSplit:
@@ -124,7 +124,7 @@ class TestSplit:
         """The shared split holds what the public conditioning returns, bit
         for bit, and None exactly where a side has no mass."""
         sides = {True: 0, False: 0}
-        for inst, _ in random_instances(72, 300):
+        for _, inst, _ in random_instances(72, 300):
             mask = agreement_points([inst.pair], inst.dist.domain_size)
             assert inst.agree_mass == float(inst.dist.mass[mask].sum())
             assert inst.disagree_mass == float(inst.dist.mass[~mask].sum())
@@ -141,6 +141,20 @@ class TestSplit:
                 assert side.mass.tobytes() == public.conditional.mass.tobytes()
         assert sides[True] > 0 and sides[False] > 0
 
+    def test_the_split_holds_its_mask_and_the_pairs_errors(self):
+        """The mask and each error are what agreement_points and
+        true_error give, bit for bit; without agreement mass there are no
+        conditional errors."""
+        for _, inst, _ in random_instances(76, 300):
+            mask = agreement_points([inst.pair], inst.dist.domain_size)
+            assert inst.agreement.tobytes() == mask.tobytes()
+            assert inst.errors == tuple(measures.true_error(h, inst.dist) for h in inst.pair)
+            if inst.agree is None:
+                assert inst.agree_errors is None
+            else:
+                expected = tuple(measures.true_error(h, inst.agree) for h in inst.pair)
+                assert inst.agree_errors == expected
+
 
 class TestSharedIdentities:
     """The pair_decomposition and average_bound checks are the gaps that
@@ -148,7 +162,7 @@ class TestSharedIdentities:
     takes it, and no other check."""
 
     def test_a_broken_decomposition_fails_every_instance(self, monkeypatch):
-        monkeypatch.setattr(measures, "_decomposition_gap", lambda pair, dist, q, cond: 1.0)
+        monkeypatch.setattr(measures, "_decomposition_gap", lambda split: 1.0)
         aggregates = {a.check: a for a in run_identity_chunk(seed=6, chunk=0, instances=40)}
         assert aggregates["pair_decomposition"].failures == 40
         assert aggregates["pair_decomposition"].max_abs_deviation == 1.0
@@ -159,8 +173,8 @@ class TestSharedIdentities:
         mass; the others pass without it."""
         taken = []
 
-        def broken(pair, klass, cond):
-            taken.append(pair)
+        def broken(split, klass):
+            taken.append(split.pair)
             return 1.0, 0.0
 
         monkeypatch.setattr(measures, "_averaging_gap", broken)
@@ -171,20 +185,20 @@ class TestSharedIdentities:
         assert [name for name, a in aggregates.items() if a.failures] == ["average_bound"]
 
     def test_the_checks_return_the_gaps(self):
-        for inst, gen in random_instances(75, 200):
-            assert identities._check_pair_decomposition(inst, gen) == measures._decomposition_gap(
-                inst.pair, inst.dist, inst.agree_mass, inst.agree
-            )
+        for klass, split, gen in random_instances(75, 200):
+            assert identities._check_pair_decomposition(
+                klass, split, gen
+            ) == measures._decomposition_gap(split)
             expected = 0.0
-            if inst.agree is not None:
-                expected = measures._averaging_gap(inst.pair, inst.klass, inst.agree)[0]
-            assert identities._check_average_bound(inst, gen) == expected
+            if split.agree is not None:
+                expected = measures._averaging_gap(split, klass)[0]
+            assert identities._check_average_bound(klass, split, gen) == expected
 
 
 class TestCompositeRouting:
     def test_a_correct_composite_passes(self):
-        for inst, gen in random_instances(73, 100):
-            assert identities._check_composite_routing(inst, gen) == 0.0
+        for klass, split, gen in random_instances(73, 100):
+            assert identities._check_composite_routing(klass, split, gen) == 0.0
 
     @pytest.mark.parametrize("method", ["tabulate", "__call__"])
     def test_a_wrong_route_fails(self, monkeypatch, method):
@@ -203,8 +217,8 @@ class TestCompositeRouting:
         monkeypatch.setattr(
             CompositeClassifier, method, tabulate_wrong if method == "tabulate" else call_wrong
         )
-        for inst, gen in random_instances(74, 20):
-            assert identities._check_composite_routing(inst, gen) == 1.0
+        for klass, split, gen in random_instances(74, 20):
+            assert identities._check_composite_routing(klass, split, gen) == 1.0
         aggregates = {a.check: a for a in run_identity_chunk(seed=4, chunk=0, instances=20)}
         assert aggregates["composite_routing"].failures == 20
         assert aggregates["composite_routing"].max_abs_deviation == 1.0

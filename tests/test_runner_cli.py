@@ -212,18 +212,14 @@ class TestUpperSweep:
     def test_rerun_is_deterministic(self, tmp_path):
         first = run(sweep_config(tmp_path))
         second = run(sweep_config(tmp_path))
-        assert [r.csv_values() for r in first.rows] == [
-            r.csv_values() for r in second.rows
-        ]
+        assert first.rows == second.rows
         assert first.summary_lines == second.summary_lines
 
     def test_thread_count_changes_nothing(self, tmp_path, monkeypatch):
         serial = run(sweep_config(tmp_path))
         monkeypatch.setenv("PACLAB_THREADS", "4")
         threaded = run(sweep_config(tmp_path))
-        assert [r.csv_values() for r in serial.rows] == [
-            r.csv_values() for r in threaded.rows
-        ]
+        assert serial.rows == threaded.rows
 
     def test_excess_never_negative(self, tmp_path):
         result = run(sweep_config(tmp_path))
