@@ -97,9 +97,9 @@ class AdversaryInstance:
     truth_rank: int
 
     def __post_init__(self):
-        if self.negatives < 1:
+        if _integer(self.negatives, "negatives") < 1:
             raise ValueError("need at least one negative point")
-        if self.domain_size < 2 * self.negatives:
+        if _integer(self.domain_size, "domain_size") < 2 * self.negatives:
             raise ValueError(
                 f"domain of size {self.domain_size} too small for {self.negatives} negatives"
             )

@@ -25,6 +25,7 @@ distributions, learner outputs, sample pieces) are built by the trusted
 constructors _trusted_hypothesis, _trusted_class, _trusted_distribution and
 _trusted_table, which skip the checks and only make the arrays read-only;
 a table whose size is known (a piece of a requested size) is not summed.
+sample_dataset wraps the points and labels it draws with _trusted_dataset.
 
 A -1/+1 label matrix becomes a numeric operand only for the product that
 reads it, so no class keeps its labels in another dtype. The mistake
@@ -86,6 +87,9 @@ _FLOAT_EXACT = 2**53
 """Integers below this magnitude are exact in float64."""
 
 _UINT64 = 2**64
+
+_GUIDE_BUCKETS = 4096
+"""Buckets of sample_dataset's guide table over the uniforms' range [0, 1)."""
 
 
 def _integer(value, what: str) -> int:
@@ -167,7 +171,10 @@ class Hypothesis:
         return int(self.labels.size)
 
     def __call__(self, x):
-        """Evaluate at a point index or an array of point indices."""
+        """Evaluate at a point index or an array of point indices; a single
+        point that is not an integer is a ValueError."""
+        if np.ndim(x) == 0:
+            x = _integer(x, "point")
         return self.labels[x]
 
 
@@ -502,10 +509,7 @@ class Dataset:
         _require_signs(raw_lab, "labels")
         pts = np.array(raw_pts, dtype=np.int64, copy=True)
         lab = np.array(raw_lab, dtype=np.int8, copy=True)
-        pts.setflags(write=False)
-        lab.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", lab)
+        _init_dataset(self, pts, lab)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -515,20 +519,62 @@ class Dataset:
         return Dataset(self.points[index], self.labels[index], self.domain_size)
 
 
+def _init_dataset(data: Dataset, points: np.ndarray, labels: np.ndarray) -> None:
+    points.setflags(write=False)
+    labels.setflags(write=False)
+    object.__setattr__(data, "points", points)
+    object.__setattr__(data, "labels", labels)
+
+
+def _trusted_dataset(points: np.ndarray, labels: np.ndarray, domain_size: int) -> Dataset:
+    """Wrap int64 points inside the domain and equally many int8 -1/+1
+    labels the package drew itself, skipping validation; both become
+    read-only."""
+    data = object.__new__(Dataset)
+    object.__setattr__(data, "domain_size", domain_size)
+    _init_dataset(data, points, labels)
+    return data
+
+
 def sample_dataset(dist: DiscreteDistribution, n: int, rng) -> Dataset:
     """Draw n i.i.d. samples from the joint mass table.
 
     rng may be an RngStream (a fresh generator is taken from it) or an
-    already-positioned numpy Generator.
+    already-positioned numpy Generator. The sample's cells, point-major, and
+    the generator's state after the draw are those of
+    gen.choice(2 * u, n, p=_cell_probabilities(dist.mass)) (see _choice).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    probabilities = _cell_probabilities(dist.mass)
-    cells = gen.choice(probabilities.size, size=n, p=probabilities)
-    points = cells >> 1
-    labels = np.where(cells & 1, 1, -1).astype(np.int8)
-    return Dataset(points, labels, dist.domain_size)
+    cells = _choice(gen, _cell_probabilities(dist.mass), n)
+    return _trusted_dataset(cells >> 1, 2 * (cells & 1).astype(np.int8) - 1, dist.domain_size)
+
+
+def _choice(gen: np.random.Generator, probabilities: np.ndarray, n: int) -> np.ndarray:
+    """gen.choice(probabilities.size, n, p=probabilities) as int64 indices,
+    value for value and with the same generator state after it, without a
+    binary search per draw.
+
+    choice takes cdf = p.cumsum() divided by its last entry, and returns
+    cdf.searchsorted(gen.random(n), 'right'). That index never falls as the
+    uniform grows, so all uniforms of the bucket [b/B, (b+1)/B), with
+    B = _GUIDE_BUCKETS, map between its ends' indices
+    cdf.searchsorted(b/B, 'right') and cdf.searchsorted((b+1)/B, 'left').
+    Where those are equal the bucket gives the index, and only the uniforms
+    of the other buckets, those holding a cdf value, are searched. B is a
+    power of two, so a uniform's bucket floor(u·B) is exact.
+    """
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    uniforms = gen.random(n)
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    low = cdf.searchsorted(edges[:-1], "right")
+    guide = np.where(low == cdf.searchsorted(edges[1:], "left"), low, -1)
+    cells = guide[(uniforms * _GUIDE_BUCKETS).astype(np.intp)]
+    searched = np.flatnonzero(cells < 0)
+    cells[searched] = cdf.searchsorted(uniforms[searched], "right")
+    return cells
 
 
 @dataclass(frozen=True, eq=False)

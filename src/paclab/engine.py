@@ -141,23 +141,28 @@ _PAIR_CHUNK_CELLS = 8_192
 """Pairs per chunk of the pair search: bounds its working memory by cells,
 whatever the number of rows."""
 
-_SCAN_CHUNK_CELLS = 65_536
-"""Pairs per chunk of the worst-pair scan. On filter-regime rounds (u = 30,
-up to about 2000 rows) 2^16 cells ran faster than 2^12 to 2^15 or 2^17 and
-2^18."""
+_SCAN_CHUNK_CELLS = 16_384
+"""Pairs per chunk of the worst-pair scan. A chunk's bounds span its first
+row's partners, so larger chunks form more bounds the row bound would have
+dropped for their later rows, and smaller ones pay more per chunk. On the
+filter-regime rounds of 40 trials at seed 4242 (dsubset u = 30, d = 3,
+n = 30000; 2-core Xeon, numpy 2.4.6, best and median of 7) 2^14 cells
+ran faster than 2^12, 2^13, 2^15 and 2^16."""
 
 _SCAN_SLACK = 1e-9
 """How far a pair's bound may fall short of its exact deviation before the
 scan could prune it wrongly; the bound's rounding error is about 1e-14."""
 
 
-def _pair_chunks(k: int, cells: int):
-    """Consecutive row chunks [a0, a1) of k rows, each holding about cells
-    pairs of one of its rows with a later row."""
+def _pair_chunks(cells: int, stop):
+    """Consecutive row chunks of a label matrix, as (a0, a1, end): rows
+    [a0, a1) each paired with the later rows before end = stop(a0), about
+    cells pairs per chunk. stop is called as each chunk is reached, and the
+    chunks end at the first row with no later row before its end."""
     a0 = 0
-    while a0 < k - 1:
-        a1 = min(k - 1, a0 + max(1, cells // (k - a0 - 1)))
-        yield a0, a1
+    while (end := stop(a0)) > a0 + 1:
+        a1 = min(end - 1, a0 + max(1, cells // (end - a0 - 1)))
+        yield a0, a1, end
         a0 = a1
 
 
@@ -179,6 +184,14 @@ def pair_disagreements(rows: np.ndarray, weights, cells: int):
     while that is below 2**53 and int64 above, so the sums are exact.
     Memory is O(k·u) plus one chunk, never k x k.
     """
+    k = len(rows)
+    return _disagreement_blocks(rows, weights, _pair_chunks(cells, lambda a0: k))
+
+
+def _disagreement_blocks(rows: np.ndarray, weights, chunks):
+    """pair_disagreements over the given (a0, a1, end) chunks of
+    _pair_chunks: a chunk's block pairs its rows with the later rows before
+    end only."""
     positive = rows == 1
     k, u = positive.shape
     w = np.asarray(weights)
@@ -189,12 +202,12 @@ def pair_disagreements(rows: np.ndarray, weights, cells: int):
     right[:, :u] = positive
     right[:, u] = 1
     right[:, u + 1] = g = right[:, :u] @ w.astype(dtype)
-    for a0, a1 in _pair_chunks(k, cells):
+    for a0, a1, end in chunks:
         left = np.empty((a1 - a0, u + 2), dtype)
         np.multiply(positive[a0:a1], -2 * w, out=left[:, :u])
         left[:, u] = g[a0:a1]
         left[:, u + 1] = 1
-        block = left @ right[a0 + 1 :].T
+        block = left @ right[a0 + 1 : end].T
         np.abs(block, out=block)
         block[:, : a1 - a0][np.tri(a1 - a0, k=-1, dtype=bool)] = lowest
         yield a0, block
@@ -212,47 +225,76 @@ def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: f
     allowance(min(c/m, mass)); allowance maps an array of levels to an
     array of allowances, each at least floor. Returns (a, b, deviation,
     allowance, excess) for the pair of largest excess, the lexicographically
-    first among equals.
+    first (a < b) among equals.
 
-    Bound, then verify. pair_disagreements with the weights counts/m -
-    marginal gives every pair's deviation up to rounding, a chunk of about
-    _SCAN_CHUNK_CELLS pairs at a time. A pair can beat the best excess e
-    found so far only if its deviation exceeds e + floor, so only pairs
-    whose bound exceeds that, less _SCAN_SLACK, are scored exactly; each
-    chunk first scores its largest-bound pair to raise e. Memory is O(k·u)
-    plus one chunk, never k x k.
+    Bound, then verify. With w = counts/m - marginal, a pair's deviation is
+    |Σ w| over D up to rounding. A pair can beat the best excess e found so
+    far only if its deviation exceeds e + floor; the bar is that, less
+    _SCAN_SLACK. Two bounds prune against it:
+
+    - Row bound. Let L mark the points where a row leaves its column's
+      majority label, and r = L·|w|. Rows a and b differ exactly where one
+      of them leaves it, so their deviation is at most r_a + r_b. The scan
+      visits rows in descending r, ties by index; a row's partners whose
+      row bound clears the bar are a prefix of the later rows, and the scan
+      stops at the first row whose next row's bound does not clear it.
+    - Pair bound. pair_disagreements' product with the weights w, formed
+      only on that prefix, a chunk of about _SCAN_CHUNK_CELLS pairs at a
+      time, gives each pair's |Σ w|.
+
+    Pairs whose pair bound clears the bar are scored exactly; each chunk
+    first scores its largest-bound pair, to raise the bar. Every pair that
+    can tie or beat the winner is scored, so the order of the visit does
+    not change the result. Memory is O(k·u) plus one chunk, never k x k.
     """
     positive = rows == 1
+    k = len(rows)
     counts = np.asarray(counts)
     m = int(counts.sum())
+    weights = counts / m - marginal
+    leaves = positive != (2 * np.count_nonzero(positive, axis=0) > k)
+    reach = leaves @ np.abs(weights)
+    order = np.argsort(-reach, kind="stable")
+    reach = reach[order]
 
-    def score(a, b):
+    best = None
+    bar = -math.inf
+
+    def consider(p, q):
+        """Score the pairs at scan positions p and q exactly, keeping the
+        largest excess, the lexicographically first pair among equals."""
+        nonlocal best, bar
+        a, b = order[p], order[q]
+        a, b = np.minimum(a, b), np.maximum(a, b)
         differ = positive[a] != positive[b]
         rates = (differ @ counts) / m
         masses = np.cumsum(np.where(differ, marginal, 0.0), axis=1)[:, -1]
         deviations = np.abs(rates - masses)
         allowances = allowance(np.minimum(rates, masses))
-        return deviations - allowances, deviations, allowances
+        excess = deviations - allowances
+        top = np.lexsort((b, a, -excess))[0]
+        if best is None or (-excess[top], a[top], b[top]) < (-best[4], best[0], best[1]):
+            best = (int(a[top]), int(b[top]), float(deviations[top]), float(allowances[top]),
+                    float(excess[top]))
+            bar = best[4] + floor - _SCAN_SLACK
 
-    best = None
-    best_excess = -math.inf
-    for a0, bound in pair_disagreements(rows, counts / m - marginal, _SCAN_CHUNK_CELLS):
-        # bound[i, j] bounds the pair (a0 + i, a0 + 1 + j).
+    def stop(a0):
+        # reach is descending, so the positions q whose reach[a0] + reach[q]
+        # clears the bar are a prefix: its length ends a0's partners.
+        return int(np.count_nonzero(reach[a0] + reach > bar))
+
+    chunks = _pair_chunks(_SCAN_CHUNK_CELLS, stop)
+    for a0, bound in _disagreement_blocks(rows[order], weights, chunks):
+        # bound[i, j] bounds the pair at scan positions (a0 + i, a0 + 1 + j).
         seed = int(np.argmax(bound))
-        if bound.flat[seed] <= best_excess + floor - _SCAN_SLACK:
+        if bound.flat[seed] <= bar:
             continue
-        i, j = divmod(seed, bound.shape[1])
-        bar = max(best_excess, float(score([a0 + i], [a0 + 1 + j])[0][0]))
-        # The seed survives: its bound exceeds best_excess + floor - slack
-        # and, being within rounding of its deviation, its own excess +
-        # floor - slack too.
-        i, j = np.divmod(np.flatnonzero(bound > bar + floor - _SCAN_SLACK), bound.shape[1])
-        excess, deviations, allowances = score(a0 + i, a0 + 1 + j)
-        top = int(np.argmax(excess))
-        if excess[top] > best_excess:
-            best_excess = float(excess[top])
-            best = (int(a0 + i[top]), int(a0 + 1 + j[top]),
-                    float(deviations[top]), float(allowances[top]), best_excess)
+        i, j = np.divmod([seed], bound.shape[1])
+        consider(a0 + i, a0 + 1 + j)
+        # The seed survives: its bound is within rounding of its deviation,
+        # which is at least its excess plus floor.
+        i, j = np.divmod(np.flatnonzero(bound > bar), bound.shape[1])
+        consider(a0 + i, a0 + 1 + j)
     return best
 
 

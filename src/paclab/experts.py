@@ -541,11 +541,14 @@ def diagnose_failure_events(
     The worst witness is the one with the largest deviation in excess of its
     allowance; among equal excesses the lowest candidate position wins, and
     for pairs the lexicographically first (a, b) in candidate order. The
-    worst pair comes from engine.worst_deviating_pair, which bounds every
-    pair's deviation with one product per chunk and scores exactly only the
-    pairs whose bound could still beat the best excess found, given that no
-    allowance falls below the allowance at level 0. No candidates x
-    candidates array is formed.
+    worst pair comes from engine.worst_deviating_pair, which scores exactly
+    only the pairs whose deviation bound could still beat the best excess
+    found, given that no allowance falls below the allowance at level 0. It
+    bounds a pair by its rows' own bounds first, visiting rows from the
+    largest row bound down and stopping where no later pair can clear the
+    bar, and forms the pair bound of one product per chunk only where the
+    row bounds do not rule a pair out. No candidates x candidates array is
+    formed.
     """
     matrix = enumerate_class(klass).matrix
     effective_n = trace.filter_half / trace.schedule.rounds

@@ -66,6 +66,14 @@ class TestAdversaryInstance:
         ranked = AdversaryInstance(6, 2, 0.1, np.int64(1))
         assert ranked.truth_negative_points().tolist() == [0, 2]
 
+    def test_non_integer_sizes_are_refused(self):
+        with pytest.raises(ValueError, match="domain_size must be an integer"):
+            AdversaryInstance(6.0, 2, 0.1, 1)
+        with pytest.raises(ValueError, match="negatives must be an integer"):
+            AdversaryInstance(6, 2.0, 0.1, 1)
+        sized = AdversaryInstance(np.int64(6), np.int32(2), 0.1, 1)
+        assert sized.truth_negative_points().tolist() == [0, 2]
+
     def test_truth_points_follow_the_rank(self):
         instance = AdversaryInstance(5, 2, 0.1, 0)
         assert instance.truth_negative_points().tolist() == [0, 1]

@@ -156,6 +156,13 @@ class TestHypothesis:
     def test_integral_floats_are_labels(self):
         assert Hypothesis([1.0, -1.0]).labels.tolist() == [1, -1]
 
+    def test_a_point_that_is_not_an_integer_is_refused(self):
+        h = hyp(1, -1, 1)
+        with pytest.raises(ValueError, match="point must be an integer"):
+            h(1.5)
+        assert h(np.int64(1)) == -1
+        assert h(np.array([2, 0])).tolist() == [1, 1]
+
     def test_labels_read_only(self):
         h = hyp(1, -1)
         with pytest.raises(ValueError):

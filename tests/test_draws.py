@@ -1,6 +1,6 @@
-"""How a sample's pieces are drawn: runs of pieces against one piece at a
-time, the number of multinomial draws a trained sample costs, and that no
-sample outlives its training."""
+"""How samples are drawn: sample_dataset against Generator.choice, runs of
+pieces against one piece at a time, the number of multinomial draws a
+trained sample costs, and that no sample outlives its training."""
 
 import gc
 import weakref
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from paclab import (
+    DiscreteDistribution,
     RngStream,
     SamplePieces,
     TheoryConstants,
@@ -47,6 +48,54 @@ class CountingGenerator:
 
 def fixture():
     return dsubset_adversary(u=30, d=3, alpha=0.5)
+
+
+def cell_mass(weights):
+    """A (u, 2) mass table from nonnegative cell weights, point-major."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return weights.reshape(-1, 2) / weights.sum()
+
+
+class TestSampleDatasetIsChoice:
+    """sample_dataset draws the cells Generator.choice draws over the cell
+    probabilities, one for one, and leaves the generator where choice does."""
+
+    CASES = {
+        "leading_zero_cells": ([0, 0, 0, 0, 0, 3, 1, 2, 5, 1], 20_000),
+        "interior_zero_cells": ([2, 1, 0, 0, 0, 3, 0, 4, 1, 1], 20_000),
+        "trailing_zero_cells": ([1, 4, 2, 3, 0, 0, 0, 0, 0, 0], 20_000),
+        # Every cumulative probability on a bucket edge of the guide table.
+        "dyadic_edges": ([1, 1, 0, 2, 4, 0, 0, 8], 20_000),
+        "one_cell_holds_all": ([0, 0, 0, 0, 0, 0, 7, 0, 0, 0], 5_000),
+        "one_draw": ([3, 1, 0, 2, 5, 1], 1),
+        "a_million_draws": (None, 10**6),
+    }
+
+    @pytest.mark.parametrize("weights, n", list(CASES.values()), ids=list(CASES))
+    def test_draw_for_draw(self, weights, n):
+        mass = fixture().distribution.mass if weights is None else cell_mass(weights)
+        dist = DiscreteDistribution(mass)
+        probabilities = core._cell_probabilities(dist.mass)
+
+        def expect(gen):
+            cells = gen.choice(probabilities.size, n, p=probabilities)
+            return cells >> 1, np.where(cells & 1, 1, -1)
+
+        def check(data, points, labels):
+            assert data.points.dtype == np.int64 and data.labels.dtype == np.int8
+            assert not data.points.flags.writeable and not data.labels.flags.writeable
+            np.testing.assert_array_equal(data.points, points)
+            np.testing.assert_array_equal(data.labels, labels)
+            assert data.domain_size == dist.domain_size
+
+        stream = RngStream(61, n)
+        check(sample_dataset(dist, n, stream), *expect(stream.generator()))
+
+        gen, ref = RngStream(62, n).generator(), RngStream(62, n).generator()
+        gen.random(7)
+        ref.random(7)
+        check(sample_dataset(dist, n, gen), *expect(ref))
+        np.testing.assert_array_equal(gen.random(50), ref.random(50))
 
 
 class TestRunsOfPieces:

@@ -195,7 +195,34 @@ def tied_instance(gen, max_rows=16, duplicates=True):
 
 
 def chunk_starts(k, cells):
-    return [a0 for a0, _ in engine._pair_chunks(k, cells)]
+    return [a0 for a0, _, _ in engine._pair_chunks(cells, lambda a0: k)]
+
+
+class ScanSpy:
+    """Records each worst-pair scan's rows, in the scan's order, and the
+    (a0, a1, end) chunks whose bounds it forms."""
+
+    def __init__(self, monkeypatch):
+        self.scans = []
+        blocks = engine._disagreement_blocks
+
+        def recording(rows, weights, chunks):
+            formed = []
+            self.scans.append((rows, formed))
+
+            def tee():
+                for chunk in chunks:
+                    formed.append(chunk)
+                    yield chunk
+
+            return blocks(rows, weights, tee())
+
+        monkeypatch.setattr(engine, "_disagreement_blocks", recording)
+
+    def cells(self):
+        """Pair bounds formed over all scans, masked cells included."""
+        return sum((a1 - a0) * (end - a0 - 1)
+                   for _, formed in self.scans for a0, a1, end in formed)
 
 
 def diagnostics_allowance(trace):
@@ -358,7 +385,9 @@ class TestScanSoundness:
         assert ties > 1
 
     @pytest.mark.parametrize("n, conditioned", [(1_250, False), (30_000, True)])
-    def test_full_class_rounds(self, n, conditioned):
+    def test_full_class_rounds(self, n, conditioned, monkeypatch):
+        """Few pairs are scored exactly, and the row bound leaves few pair
+        bounds to form."""
         fixture = dsubset_adversary(u=30, d=3, alpha=0.5)
         klass = fixture.klass
         rows = enumerate_class(klass).matrix
@@ -371,21 +400,23 @@ class TestScanSoundness:
         kept = CountTable.of(sample_dataset(dist, n, RngStream(39, n)))
         trace = one_round_trace(kept, np.arange(len(rows)), 30_000, 3, selected)
         allowance, floor = diagnostics_allowance(trace)
+        spy = ScanSpy(monkeypatch)
         scored, _ = self._check(rows, kept.point_counts(), dist.point_marginal(),
                                 allowance, floor)
         assert scored < 4060 * 4059 // 2 // 100
+        assert spy.cells() < 4060 * 4059 // 2 * 5 // 100
 
 
 class TestChunkBoundaries:
     """Tiny chunk budgets put the answers on both sides of chunk boundaries."""
 
     @staticmethod
-    def _boundary_sides(k, row, cells):
+    def _boundary_sides(starts, row):
         """Whether row is the first row of a later chunk, whether it is the
         last row of a chunk that has a successor, and whether it lies in a
-        later chunk than the first."""
-        later_starts = chunk_starts(k, cells)[1:]
-        return row in later_starts, row + 1 in later_starts, row >= min(later_starts, default=k)
+        later chunk than the first, given the chunks' first rows."""
+        later_starts = starts[1:]
+        return row in later_starts, row + 1 in later_starts, row >= min(later_starts, default=row + 1)
 
     def test_pair_search(self, monkeypatch):
         gen = RngStream(33, 1).generator()
@@ -401,27 +432,33 @@ class TestChunkBoundaries:
                 assert got == reference_find_disagreeing_pair(klass, index_set, kept, threshold)
                 if got is not None:
                     row = int(np.searchsorted(index_set, got[0]))
-                    first, last, _ = self._boundary_sides(index_set.size, row, budget)
+                    starts = chunk_starts(index_set.size, budget)
+                    first, last, _ = self._boundary_sides(starts, row)
                     sides[0] += first
                     sides[1] += last
         assert min(sides) > 0, sides
 
     def test_diagnostics(self, monkeypatch):
-        """The scan's own chunks: the worst pair on both sides of a
-        boundary, and in a later chunk than the first seed."""
+        """The scan's own chunks, in the scan's row order: the worst pair's
+        first row in that order on both sides of a boundary, and in a later
+        chunk than the first."""
         gen = RngStream(34, 1).generator()
+        spy = ScanSpy(monkeypatch)
         sides = [0, 0, 0]
         for budget in (1, 7, 20, 45):
             monkeypatch.setattr(engine, "_SCAN_CHUNK_CELLS", budget)
             for _ in range(150):
                 klass, dist, trace = tied_instance(gen, max_rows=40, duplicates=False)
+                spy.scans.clear()
                 got = diagnose_failure_events(trace, klass, dist)
                 expected = reference_diagnose_failure_events(trace, klass, dist)
                 assert_same_events(got, expected)
-                cand = trace.records[0].candidates
-                worst = got.iterations[0].worst_pair
-                row = int(np.searchsorted(cand, worst[0]))
-                for n, side in enumerate(self._boundary_sides(cand.size, row, budget)):
+                (scanned, formed), = spy.scans
+                # The candidates are distinct rows: find each of the pair's.
+                worst = enumerate_class(klass).matrix[list(got.iterations[0].worst_pair)]
+                row = min(int(np.flatnonzero((scanned == labels).all(axis=1))[0]) for labels in worst)
+                starts = [a0 for a0, _, _ in formed]
+                for n, side in enumerate(self._boundary_sides(starts, row)):
                     sides[n] += side
         assert min(sides) > 0, sides
 
