@@ -27,13 +27,20 @@ _trusted_table, which skip the checks and only make the arrays read-only;
 a table whose size is known (a piece of a requested size) is not summed.
 sample_dataset wraps the points and labels it draws with _trusted_dataset.
 
+A class is backed by a label matrix or, for the exact-negatives family, by
+its negatives index: each member's sorted negative points
+(HypothesisClass). The index is the class's own description, and its
+matrix is built from it only where a caller asks for one. Mistake counts
+(CountTable.mistakes) and ERM (_least_mistakes) of an exact-negatives
+class read the index in closed form, with no product, and the labels of
+selected members of any class come from _member_rows.
 A -1/+1 label matrix becomes a numeric operand only for the product that
 reads it, so no class keeps its labels in another dtype. The mistake
 kernel (_mistake_products) is the one code that turns labels into mistake
 counts: it casts the +1 entries of one row chunk of a label matrix at a
-time, so its working memory is one chunk whatever the matrix, for ERM
-(_least_mistakes), CountTable.mistakes (a class, a matrix or a vector;
-the diagnostics pass their candidate rows as a matrix) and the validation
+time, so its working memory is one chunk whatever the matrix, for ERM and
+CountTable.mistakes on a matrix-backed class, a matrix or a vector (the
+diagnostics pass their candidate rows as a matrix) and for the validation
 of a training batch. Elsewhere engine.pair_disagreements casts the
 candidate rows of the pair search and the worst-pair scan, and
 measures.row_errors the rows of its mass products.
@@ -203,9 +210,14 @@ class HypothesisClass:
 
     The index order is canonical: every tie anywhere in the package breaks
     toward the lowest index. A class is backed either by an explicit label
-    matrix (one row per hypothesis) or by the exact-negatives family, which
-    is described combinatorially and enumerates itself lazily because its
-    size is binomial(u, d).
+    matrix (one row per hypothesis) or by the exact-negatives family, whose
+    size is binomial(u, d) and which is described by its negatives index:
+    the (size, d) sorted negative points of each member, built on first use
+    within _require_enumerable's caps. The index is 8d bytes per member
+    where the matrix is u; mistake counts and ERM read the index in closed
+    form whether or not the matrix is built, and a member's labels are
+    built from it (_member_rows). The label matrix materializes lazily,
+    from the index, only where a caller asks for it.
     """
 
     __slots__ = (
@@ -213,6 +225,7 @@ class HypothesisClass:
         "declared_vc",
         "_matrix",
         "_negative_spec",
+        "_negatives",
     )
 
     def __init__(self, matrix, declared_vc: int | None = None):
@@ -230,9 +243,11 @@ class HypothesisClass:
         """The family of all labelings with exactly d of u points negative.
 
         Ordered lexicographically by the sorted index set of the negative
-        points, so index 0 labels points 0..d-1 negative. Enumeration is
-        lazy; individual members come from unranking, which works at any
-        size. The dimension of this family is d, recorded as declared_vc.
+        points, so index 0 labels points 0..d-1 negative. Neither the
+        negatives index nor the label matrix is built until it is used; a
+        member of a class past the caps, which keeps neither, comes from
+        unranking. The dimension of this family is d, recorded as
+        declared_vc.
         """
         u, d = _integer(u, "u"), _integer(d, "d")
         if d < 1 or u <= d:
@@ -240,6 +255,7 @@ class HypothesisClass:
         self = cls.__new__(cls)
         self._matrix = None
         self._negative_spec = (u, d)
+        self._negatives = None
         self.domain_size = u
         self.declared_vc = d
         return self
@@ -260,32 +276,43 @@ class HypothesisClass:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Label matrix; materializes lazily, within _require_enumerable's
-        caps."""
+        """Label matrix; materializes lazily, from the negatives index."""
         if self._matrix is None:
+            mat = _member_rows(self, slice(None))
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
+
+    def _negative_points(self) -> np.ndarray | None:
+        """The read-only (size, d) intp negatives index of an exact-negatives
+        class, row i the sorted negative points of member i, in the
+        lexicographic combinations order; None for a matrix-backed class.
+        Built on first use, within _require_enumerable's caps. Threads that
+        race on the first use each build an equal copy, and one is kept."""
+        if self._negatives is None and self._negative_spec is not None:
             size = self.size
             u, d = self._negative_spec
             _require_enumerable(size, u)
             negatives = np.fromiter(
                 chain.from_iterable(combinations(range(u), d)), dtype=np.intp, count=size * d
-            )
-            mat = np.ones((size, u), dtype=np.int8)
-            mat[np.repeat(np.arange(size), d), negatives] = -1
-            mat.setflags(write=False)
-            self._matrix = mat
-        return self._matrix
+            ).reshape(size, d)
+            negatives.setflags(write=False)
+            self._negatives = negatives
+        return self._negatives
 
     def hypothesis(self, index: int) -> Hypothesis:
         """Member at a canonical index, without forcing enumeration."""
         index = _integer(index, "index")
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for class of size {self.size}")
-        if self._matrix is not None:
-            return _trusted_hypothesis(self._matrix[index])
-        u, d = self._negative_spec
-        labels = np.ones(u, dtype=np.int8)
-        labels[subset_unrank(u, d, index)] = -1
-        return _trusted_hypothesis(labels)
+        size = self.size
+        if not 0 <= index < size:
+            raise ValueError(f"index {index} out of range for class of size {size}")
+        if self._matrix is None and _enumeration_refusal(size, self.domain_size):
+            # Past the caps no index is kept: unrank the one member.
+            u, d = self._negative_spec
+            labels = np.ones(u, dtype=np.int8)
+            labels[subset_unrank(u, d, index)] = -1
+            return _trusted_hypothesis(labels)
+        return _trusted_hypothesis(_member_rows(self, index))
 
     def __iter__(self):
         for i in range(self.size):
@@ -296,8 +323,24 @@ def _init_class(klass: HypothesisClass, matrix: np.ndarray, declared_vc: int | N
     matrix.setflags(write=False)
     klass._matrix = matrix
     klass._negative_spec = None
+    klass._negatives = None
     klass.domain_size = int(matrix.shape[1])
     klass.declared_vc = declared_vc
+
+
+def _member_rows(klass: HypothesisClass, index) -> np.ndarray:
+    """The int8 label rows of the members at an index (an integer, an
+    integer array or a slice, as numpy takes it): rows of the label matrix
+    where the class has one, else built from its negatives index."""
+    if klass._matrix is not None:
+        return klass._matrix[index]
+    negatives = klass._negative_points()[index]
+    rows = np.ones(negatives.shape[:-1] + (klass.domain_size,), dtype=np.int8)
+    if rows.ndim == 1:
+        rows[negatives] = -1
+    else:
+        rows[np.arange(len(rows))[:, None], negatives] = -1
+    return rows
 
 
 def _checked_index(index, rows: int) -> np.ndarray:
@@ -331,11 +374,25 @@ def _mistake_products(matrix: np.ndarray, counts: np.ndarray):
         yield a0, paid
 
 
-def _least_mistakes(klass: HypothesisClass, tables) -> tuple[np.ndarray, np.ndarray]:
+def _least_mistakes(klass: HypothesisClass, tables) -> tuple:
     """For each table, the lowest member index with the fewest mistakes, and
-    that count: one product of the class with the stacked tables per row
-    chunk, reduced to a running per-table minimum as the chunks arrive."""
+    that count.
+
+    An exact-negatives class reads its closed form: a member with negatives
+    S pays Σc₋ + Σ_{x∈S} s(x), with scores s = c₊ − c₋, so the fewest
+    mistakes take the d lowest scores, and taking tied scores lowest point
+    first gives the lexicographically first such S, the lowest rank. Any
+    other class takes one product of its label matrix with the stacked
+    tables per row chunk, reduced to a running per-table minimum as the
+    chunks arrive."""
     counts = np.stack([table.counts for table in tables])
+    if klass._negative_points() is not None:
+        u, d = klass._negative_spec
+        scores = counts[:, :, 1] - counts[:, :, 0]
+        lowest = np.argsort(scores, axis=1, kind="stable")[:, :d]
+        paid = scores[np.arange(len(tables))[:, None], lowest].sum(axis=1)
+        ranks = [_subset_rank(u, d, sorted(subset)) for subset in lowest.tolist()]
+        return ranks, counts[:, :, 0].sum(axis=1) + paid
     columns = np.arange(len(tables))
     best = least = None
     for a0, paid in _mistake_products(klass.matrix, counts):
@@ -358,15 +415,22 @@ def _trusted_class(matrix: np.ndarray, declared_vc: int | None) -> HypothesisCla
     return klass
 
 
-def _require_enumerable(rows: int, points: int) -> None:
-    """Refuse a label matrix past DEFAULT_ENUMERATION_CAP rows or
-    _ENUMERATION_CELLS cells, before anything of its size is allocated."""
+def _enumeration_refusal(rows: int, points: int) -> str | None:
+    """Why a class of rows members over points points is past
+    DEFAULT_ENUMERATION_CAP rows or _ENUMERATION_CELLS cells, else None."""
     if rows > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"class of size {rows} exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
-        )
+        return f"class of size {rows} exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}"
     if rows * points > _ENUMERATION_CELLS:
-        raise ValueError(f"class of {rows} x {points} labels exceeds {_ENUMERATION_CELLS} cells")
+        return f"class of {rows} x {points} labels exceeds {_ENUMERATION_CELLS} cells"
+    return None
+
+
+def _require_enumerable(rows: int, points: int) -> None:
+    """Refuse a label matrix or negatives index past the caps
+    (_enumeration_refusal), before anything of its size is allocated."""
+    refusal = _enumeration_refusal(rows, points)
+    if refusal:
+        raise ValueError(refusal)
 
 
 def enumerate_class(klass: HypothesisClass) -> HypothesisClass:
@@ -622,9 +686,21 @@ class CountTable:
 
     def mistakes(self, labels):
         """Mistake count of a label vector, or of each row of a label matrix
-        or member of a HypothesisClass: rows of the mistake kernel
-        (_mistake_products) on this one table."""
-        matrix = labels.matrix if isinstance(labels, HypothesisClass) else np.asarray(labels)
+        or member of a HypothesisClass: for an exact-negatives class, Σc₋
+        plus one take of the scores c₊ − c₋ per column of its negatives
+        index; otherwise rows of the mistake kernel (_mistake_products) on
+        this one table."""
+        if isinstance(labels, HypothesisClass):
+            negatives = labels._negative_points()
+            if negatives is not None:
+                negative, positive = self.counts[:, 0], self.counts[:, 1]
+                scores = positive - negative
+                paid = np.full(len(negatives), negative.sum())
+                for column in negatives.T:
+                    paid += scores[column]
+                return paid
+            labels = labels.matrix
+        matrix = np.asarray(labels)
         rows = matrix if matrix.ndim == 2 else matrix[None]
         paid = np.empty(len(rows), dtype=np.int64)
         for a0, block in _mistake_products(rows, self.counts[None]):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
-    _FLOAT_EXACT, CountTable, HypothesisClass, _checked_index, _least_mistakes, enumerate_class,
+    _FLOAT_EXACT, CountTable, HypothesisClass, _checked_index, _least_mistakes, _member_rows,
 )
 
 __all__ = [
@@ -95,17 +95,31 @@ def deviation_bound(n, d, delta, beta, consts: TheoryConstants = DEFAULT_CONSTAN
     beta = 0 is the least at any beta (rounding keeps root + additive >=
     additive): the floor the worst-pair scan prunes against.
     """
-    _validate_bound_inputs(n, d, delta)
+    curve = _deviation_curve(n, d, delta, consts)
     beta_arr = np.asarray(beta, dtype=np.float64)
     if (beta_arr < 0).any() or (beta_arr > 1).any():
         raise ValueError("beta must lie in [0, 1]")
+    return curve(beta_arr)
+
+
+def _deviation_curve(n, d, delta, consts: TheoryConstants):
+    """deviation_bound(n, d, delta, ·, consts) as a function of beta alone:
+    n, d and delta are checked and the beta-free terms taken once, here, and
+    each call applies the same float operations in the same order, to a
+    beta it does not check."""
+    _validate_bound_inputs(n, d, delta)
     log_delta = math.log(1.0 / delta)
     additive = _additive_term(n, d, delta)
-    with np.errstate(divide="ignore"):
-        level_log = np.maximum(np.log(np.where(beta_arr > 0, 1.0 / beta_arr, 1.0)), 1.0)
-    root = np.sqrt(beta_arr * (d * level_log + log_delta) / n)
-    out = consts.dev_scale * (root + additive)
-    return float(out) if out.ndim == 0 else out
+
+    def curve(beta):
+        beta_arr = np.asarray(beta, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            level_log = np.maximum(np.log(np.where(beta_arr > 0, 1.0 / beta_arr, 1.0)), 1.0)
+        root = np.sqrt(beta_arr * (d * level_log + log_delta) / n)
+        out = consts.dev_scale * (root + additive)
+        return float(out) if out.ndim == 0 else out
+
+    return curve
 
 
 def erm(klass: HypothesisClass, data) -> tuple[int, float]:
@@ -118,8 +132,9 @@ def erm(klass: HypothesisClass, data) -> tuple[int, float]:
 
 
 def erm_many(klass: HypothesisClass, tables) -> list[tuple[int, float]]:
-    """erm on each of a sequence of count tables, with one product of the
-    class and the stacked tables per row chunk."""
+    """erm on each of a sequence of count tables: one product of the class
+    and the stacked tables per row chunk, or the closed form of an
+    exact-negatives class (core._least_mistakes)."""
     if not tables:
         return []
     if any(len(table) == 0 for table in tables):
@@ -312,7 +327,7 @@ def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: fl
     table = CountTable.of(data)
     if len(table) == 0:
         raise ValueError("empty sample set")
-    rows = enumerate_class(klass).matrix[idx]
+    rows = _member_rows(klass, idx)
     n = len(table)
     for a0, counts in pair_disagreements(rows, table.point_counts(), _PAIR_CHUNK_CELLS):
         # Masked cells are below every count, so cell (0, 0) hits before any.

@@ -22,8 +22,9 @@ loop never reaches is drawn but never wrapped.
 
 Training runs on a batch of samples (train_many); train and core_train are
 its batch of one. Every minimization step of the batch scores every
-sample's table with one product of the class against the stacked tables
-(engine.erm_many): the estimate third; the first filtering round, which
+sample's table with one engine.erm_many call, one product of the class
+against the stacked tables or, for an exact-negatives class, its closed
+form: the estimate third; the first filtering round, which
 also scores every holdout and, in a batch of more than one, every fit
 third, all drawn before the loop starts; each later round over the
 samples still in the loop; and, for the samples that recorded a pair, the
@@ -55,15 +56,16 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     SamplePieces,
+    _member_rows,
     _mistake_products,
     _trusted_hypothesis,
     _trusted_table,
-    enumerate_class,
 )
 from .engine import (
     DEFAULT_CONSTANTS,
     Schedule,
     TheoryConstants,
+    _deviation_curve,
     _floored_log,
     deviation_bound,
     erm_many,
@@ -447,7 +449,8 @@ def train_many(
     # Rows 2t and 2t + 1 are sample t's two candidates; each reads its own
     # sample's validation counts, column t.
     core_labels = np.stack([classifier.tabulate().labels for classifier, _ in cores])
-    rows = np.stack([core_labels, klass.matrix[erm_indices]], axis=1).reshape(2 * len(cores), -1)
+    erm_labels = _member_rows(klass, erm_indices)
+    rows = np.stack([core_labels, erm_labels], axis=1).reshape(2 * len(cores), -1)
     products = _mistake_products(rows, np.stack([run[-1] for run in runs]))
     scored = np.concatenate([block for _, block in products]).reshape(len(cores), 2, len(cores))
     paid = scored[np.arange(len(cores)), :, np.arange(len(cores))].tolist()
@@ -519,6 +522,21 @@ class FailureEventReport:
     iterations: tuple
 
 
+def _diagnostic_allowance(trace: CoreTrace):
+    """The diagnostics' allowance at an array of levels in [0, 1]:
+    deviation_bound at the trace's effective block size, d, delta and
+    constants, over 32, bit for bit, with the bound's inputs checked once
+    per trace rather than once per call."""
+    curve = _deviation_curve(
+        trace.filter_half / trace.schedule.rounds, trace.d, trace.delta, trace.consts
+    )
+
+    def allowance(levels):
+        return curve(levels) / 32.0
+
+    return allowance
+
+
 def diagnose_failure_events(
     trace: CoreTrace,
     klass: HypothesisClass,
@@ -550,12 +568,7 @@ def diagnose_failure_events(
     row bounds do not rule a pair out. No candidates x candidates array is
     formed.
     """
-    matrix = enumerate_class(klass).matrix
-    effective_n = trace.filter_half / trace.schedule.rounds
-
-    def allowance(levels):
-        return deviation_bound(effective_n, trace.d, trace.delta, levels, trace.consts) / 32.0
-
+    allowance = _diagnostic_allowance(trace)
     floor = allowance(0.0)
     out = []
     for position, record in enumerate(trace.records):
@@ -568,7 +581,7 @@ def diagnose_failure_events(
         kept = CountTable.of(record.kept)
         m = len(kept)
         cand = record.candidates
-        cand_matrix = matrix[cand]
+        cand_matrix = _member_rows(klass, cand)
 
         empirical = kept.mistakes(cand_matrix) / m
         truth = measures.row_errors(cand_matrix, cond)

@@ -22,6 +22,7 @@ from .core import (
     DiscreteDistribution,
     Hypothesis,
     HypothesisClass,
+    _member_rows,
     _trusted_class,
     _trusted_distribution,
     _trusted_hypothesis,
@@ -71,16 +72,22 @@ def true_error(h: Hypothesis, dist: DiscreteDistribution) -> float:
     return float(_mislabeled_mass(h.labels, dist.mass))
 
 
-def _true_errors(rows: np.ndarray, dist: DiscreteDistribution) -> np.ndarray:
-    """true_error of each row of a nonempty (k, u) label matrix, bit for
-    bit, a row chunk of about _KERNEL_CHUNK_CELLS cells at a time, so its
-    working memory is one chunk whatever k. A row's sum does not depend on
-    the chunking. The sweep takes both sides of every excess from here:
-    the class minimum tau_true and the errors of the trained outputs."""
+def _true_errors(rows, dist: DiscreteDistribution) -> np.ndarray:
+    """true_error of each row of a nonempty (k, u) label matrix, or of each
+    member of a HypothesisClass, bit for bit, a row chunk of about
+    _KERNEL_CHUNK_CELLS cells at a time, so its working memory is one chunk
+    whatever k; a class's chunks are its members' rows (core._member_rows),
+    so a class without a label matrix is scored without building one. A
+    row's sum does not depend on the chunking. The sweep takes both sides
+    of every excess from here: the class minimum tau_true and the errors of
+    the trained outputs."""
     step = max(1, _KERNEL_CHUNK_CELLS // dist.domain_size)
-    return np.concatenate(
-        [_mislabeled_mass(rows[a0 : a0 + step], dist.mass) for a0 in range(0, len(rows), step)]
-    )
+    starts = range(0, len(rows), step)
+    if isinstance(rows, HypothesisClass):
+        chunks = (_member_rows(rows, slice(a0, a0 + step)) for a0 in starts)
+    else:
+        chunks = (rows[a0 : a0 + step] for a0 in starts)
+    return np.concatenate([_mislabeled_mass(chunk, dist.mass) for chunk in chunks])
 
 
 def row_errors(rows, dist: DiscreteDistribution) -> np.ndarray:

@@ -28,13 +28,18 @@ third, then every other piece as one run), so sampling costs the same at
 any n. A batch's samples share one generator, re-keyed to each trial's
 stream (core.SamplePieces.drawn_batch), so a trial draws what it would
 from a fresh generator of its own. Each minimization step of a batch scores
-all its trials with one product per row chunk of the class's label matrix
-(the mistake kernel, core._mistake_products), so a class of any size costs
-the batch one chunk of working memory. The validation errors of every
-trial in a batch are one call of the same kernel. Both sides of every
-excess, the class minimum tau_true and the true errors of the trained
-outputs, come from one function, measures._true_errors, so an output
-equal to the optimum has an excess of exactly 0. The summary takes every
+all its trials with one engine.erm_many call: for the exact-negatives
+class of dsubset_adversary, a closed form over its negatives index; for a
+matrix-backed class, one product per row chunk of its label matrix (the
+mistake kernel, core._mistake_products), so a class of any size costs the
+batch one chunk of working memory. The validation errors of every trial
+in a batch are one call of the mistake kernel on the candidates' rows.
+Both sides of every excess, the class minimum tau_true and the true
+errors of the trained outputs, come from one function,
+measures._true_errors, so an output equal to the optimum has an excess of
+exactly 0; tau_true is taken over the class's member rows chunk by chunk
+(core._member_rows), so a sweep builds no label matrix of an
+exact-negatives class. The summary takes every
 cell's mean and 95th percentile with one call each over the cells'
 stacked excesses.
 
@@ -69,7 +74,7 @@ from .adversary import (
     skew_for_domain,
 )
 from .config import _MAX_THREADS, ConfigError, ExperimentConfig, fnv1a64
-from .core import RngStream, SamplePieces, enumerate_class
+from .core import RngStream, SamplePieces
 from .engine import _round_level
 from .experts import BREAK_REASONS, train_many
 from .fixtures import FAMILIES, Fixture
@@ -212,7 +217,6 @@ def _build_fixture(config: ExperimentConfig, tau: float | None) -> Fixture:
         params["tau"] = tau
     try:
         fixture = family(**params)
-        enumerate_class(fixture.klass)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"fixture {config.fixture_family!r}: {exc}") from exc
     return fixture
@@ -224,7 +228,7 @@ def _error_floors(fixture: Fixture) -> tuple[float, float]:
     gives them, the same floats as the trials' errors, so an output equal
     to the optimum has an excess of exactly 0."""
     mass = fixture.distribution.mass
-    errors = _true_errors(fixture.klass.matrix, fixture.distribution)
+    errors = _true_errors(fixture.klass, fixture.distribution)
     return float(errors.min()), float(np.minimum(mass[:, 0], mass[:, 1]).sum())
 
 
