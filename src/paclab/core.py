@@ -31,8 +31,9 @@ A class is backed by a label matrix or, for the exact-negatives family, by
 its negatives index: each member's sorted negative points
 (HypothesisClass). The index is the class's own description, and its
 matrix is built from it only where a caller asks for one. Mistake counts
-(CountTable.mistakes) and ERM (_least_mistakes) of an exact-negatives
-class read the index in closed form, with no product, and the labels of
+(CountTable.mistakes), ERM (_least_mistakes) and errors against a mass
+table (measures.row_errors) of an exact-negatives class read the index in
+closed form (_negatives_sums), with no product, and the labels of
 selected members of any class come from _member_rows.
 A -1/+1 label matrix becomes a numeric operand only for the product that
 reads it, so no class keeps its labels in another dtype. The mistake
@@ -43,7 +44,8 @@ CountTable.mistakes on a matrix-backed class, a matrix or a vector (the
 diagnostics pass their candidate rows as a matrix) and for the validation
 of a training batch. Elsewhere engine.pair_disagreements casts the
 candidate rows of the pair search and the worst-pair scan, and
-measures.row_errors the rows of its mass products.
+measures.row_errors the rows of its mass products on a label matrix or a
+matrix-backed class.
 """
 
 from __future__ import annotations
@@ -178,11 +180,23 @@ class Hypothesis:
         return int(self.labels.size)
 
     def __call__(self, x):
-        """Evaluate at a point index or an array of point indices; a single
-        point that is not an integer is a ValueError."""
+        """Evaluate at a point index or an array of point indices; a point
+        that is not an integer, or lies outside [0, domain_size), is a
+        ValueError, where numpy would wrap a negative point to a label
+        from the end."""
+        size = self.labels.size
         if np.ndim(x) == 0:
             x = _integer(x, "point")
-        return self.labels[x]
+            if not 0 <= x < size:
+                raise ValueError(f"point {x} outside [0, {size})")
+            return self.labels[x]
+        points = np.asarray(x)
+        # Cast to uint64, a negative point lies past the upper bound too.
+        if points.dtype.kind not in "iu" or (
+            points.size and np.maximum.reduce(points.astype(np.uint64, copy=False), axis=None) >= size
+        ):
+            raise ValueError(f"points must be integers in [0, {size}), got {points.dtype} {points}")
+        return self.labels[points]
 
 
 def _require_signs(raw: np.ndarray, what: str) -> None:
@@ -341,6 +355,20 @@ def _member_rows(klass: HypothesisClass, index) -> np.ndarray:
     else:
         rows[np.arange(len(rows))[:, None], negatives] = -1
     return rows
+
+
+def _negatives_sums(negatives: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The weight each member of an exact-negatives class mislabels in a
+    (u, 2) table of cell weights w, counts or masses, given the class's
+    negatives index: a member with negatives S pays
+    Σw₋ + Σ_{x∈S}(w₊ − w₋)(x), taken as Σw₋ plus one take of the scores
+    per index column, in the weights' dtype and with no label matrix."""
+    negative, positive = cells[:, 0], cells[:, 1]
+    scores = positive - negative
+    paid = np.full(len(negatives), negative.sum())
+    for column in negatives.T:
+        paid += scores[column]
+    return paid
 
 
 def _checked_index(index, rows: int) -> np.ndarray:
@@ -686,19 +714,13 @@ class CountTable:
 
     def mistakes(self, labels):
         """Mistake count of a label vector, or of each row of a label matrix
-        or member of a HypothesisClass: for an exact-negatives class, Σc₋
-        plus one take of the scores c₊ − c₋ per column of its negatives
-        index; otherwise rows of the mistake kernel (_mistake_products) on
-        this one table."""
+        or member of a HypothesisClass: for an exact-negatives class, the
+        closed form on its negatives index (_negatives_sums); otherwise rows
+        of the mistake kernel (_mistake_products) on this one table."""
         if isinstance(labels, HypothesisClass):
             negatives = labels._negative_points()
             if negatives is not None:
-                negative, positive = self.counts[:, 0], self.counts[:, 1]
-                scores = positive - negative
-                paid = np.full(len(negatives), negative.sum())
-                for column in negatives.T:
-                    paid += scores[column]
-                return paid
+                return _negatives_sums(negatives, self.counts)
             labels = labels.matrix
         matrix = np.asarray(labels)
         rows = matrix if matrix.ndim == 2 else matrix[None]

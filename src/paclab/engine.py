@@ -316,12 +316,16 @@ def worst_deviating_pair(rows: np.ndarray, counts, marginal, allowance, floor: f
 def find_disagreeing_pair(klass: HypothesisClass, index_set, data, threshold: float):
     """First index pair disagreeing on at least a threshold fraction of samples.
 
-    The scan is lexicographic over the sorted index set, chunk by chunk
-    through pair_disagreements. Returns None when no pair qualifies or
-    fewer than two indices were given; an index that is not an integer
-    inside the class is a ValueError.
+    The scan is lexicographic over the sorted, deduplicated index set,
+    chunk by chunk through pair_disagreements; a one-dimensional strictly
+    increasing set, as near_optimal_set returns, is scanned as it is.
+    Returns None when no pair qualifies or fewer than two indices were
+    given; an index that is not an integer inside the class is a
+    ValueError.
     """
-    idx = np.unique(_checked_index(index_set, klass.size))
+    idx = _checked_index(index_set, klass.size)
+    if idx.ndim != 1 or not (idx[1:] > idx[:-1]).all():
+        idx = np.unique(idx)
     if idx.size < 2:
         return None
     table = CountTable.of(data)

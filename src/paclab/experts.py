@@ -658,6 +658,9 @@ def exact_progress_report(
     the report truncates, since later conditionals are undefined. Each
     pair splits once (measures._pair_split) for both identities and the
     running agreement mask; each optimum is computed once, as the next record's.
+    Each optimum is the least of measures.row_errors over the class, which
+    reads an exact-negatives class's negatives index in closed form, so
+    the report builds no label matrix for it, even at the row cap.
     """
     pair_total = trace.pair_count
     best = base_error = float(np.min(measures.row_errors(klass, dist)))

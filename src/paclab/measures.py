@@ -23,6 +23,7 @@ from .core import (
     Hypothesis,
     HypothesisClass,
     _member_rows,
+    _negatives_sums,
     _trusted_class,
     _trusted_distribution,
     _trusted_hypothesis,
@@ -92,9 +93,17 @@ def _true_errors(rows, dist: DiscreteDistribution) -> np.ndarray:
 
 def row_errors(rows, dist: DiscreteDistribution) -> np.ndarray:
     """Exact error of each row of a label matrix, or of each member of a
-    HypothesisClass: one mass product per row. Its last bit may differ
-    from true_error's, which sums in another order."""
+    HypothesisClass. An exact-negatives class, whether or not its matrix
+    is built, is scored in closed form on its negatives index
+    (core._negatives_sums): Σm₋ plus the scores m₊ − m₋ of each member's
+    d negatives, O(size·d) with no matrix and no BLAS, equal to the mass
+    product to rounding. A label matrix or any other class takes one mass
+    product per row. Either's last bit may differ from true_error's,
+    which sums in another order."""
     if isinstance(rows, HypothesisClass):
+        negatives = rows._negative_points()
+        if negatives is not None:
+            return _negatives_sums(negatives, dist.mass)
         rows = rows.matrix
     positive = rows == 1
     return positive @ dist.mass[:, 0] + (~positive) @ dist.mass[:, 1]

@@ -163,6 +163,20 @@ class TestHypothesis:
         assert h(np.int64(1)) == -1
         assert h(np.array([2, 0])).tolist() == [1, 1]
 
+    @pytest.mark.parametrize("points", [-1, 3, np.int64(-3), [0, -1], np.array([2, 3]), [0.0, 1.0],
+                                        np.array([0.5, 1.5]), np.array([True, False])])
+    def test_points_outside_the_domain_or_not_integers_are_refused(self, points):
+        """A negative point would wrap to a label from the end, a float
+        array would reach numpy's IndexError and a boolean array would
+        select labels as a mask."""
+        with pytest.raises(ValueError, match="point"):
+            hyp(1, -1, 1)(points)
+
+    def test_an_empty_point_array_reads_no_labels(self):
+        h = hyp(1, -1, 1)
+        assert h(np.array([], dtype=np.intp)).tolist() == []
+        assert h(np.arange(3).reshape(3, 1)).tolist() == [[1], [-1], [1]]
+
     def test_labels_read_only(self):
         h = hyp(1, -1)
         with pytest.raises(ValueError):

@@ -259,6 +259,39 @@ class TestFindDisagreeingPair:
             expected = brute_force_pair(klass, index_set, data, threshold)
             assert got == expected, f"trial {trial}: {got} vs {expected}"
 
+    def test_sorted_shuffled_and_repeated_sets_give_one_pair(self):
+        gen = RngStream(29, 1).generator()
+        for trial in range(100):
+            klass, data = random_instance(gen, max_hypotheses=24)
+            threshold = float(gen.uniform(0.05, 0.9))
+            size = int(gen.integers(0, len(klass) + 1))
+            ordered = np.sort(gen.choice(len(klass), size=size, replace=False))
+            repeated = np.concatenate([ordered, gen.choice(ordered, size=size)]) if size else ordered
+            expected = brute_force_pair(klass, ordered, data, threshold)
+            for index_set in (ordered, gen.permutation(ordered), repeated, np.sort(repeated)):
+                got = find_disagreeing_pair(klass, index_set, data, threshold)
+                assert got == expected, f"trial {trial}: {index_set} gave {got}, expected {expected}"
+
+    def test_a_sorted_unique_set_is_scanned_without_np_unique(self, monkeypatch):
+        """near_optimal_set already returns its indices sorted and unique;
+        only a set that is not is sorted again."""
+        klass, data = self._five_hypothesis_fixture()
+        calls = []
+        unique = np.unique
+
+        def recording_unique(*args, **kwargs):
+            calls.append(args[0])
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording_unique)
+        assert find_disagreeing_pair(klass, np.arange(5), data, 0.3) == (0, 2)
+        assert find_disagreeing_pair(klass, [0, 2, 4], data, 0.3) == (0, 2)
+        assert calls == []
+        assert find_disagreeing_pair(klass, [2, 0, 4], data, 0.3) == (0, 2)
+        assert find_disagreeing_pair(klass, [0, 0, 2], data, 0.3) == (0, 2)
+        assert find_disagreeing_pair(klass, [[0, 2], [3, 4]], data, 0.3) == (0, 2)
+        assert len(calls) == 3
+
     def test_returned_pair_meets_threshold(self):
         klass, data = self._five_hypothesis_fixture()
         pair = find_disagreeing_pair(klass, range(5), data, 0.3)

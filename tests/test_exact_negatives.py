@@ -6,7 +6,9 @@ scores, tied scores lowest point first, and a whole class's mistakes are d
 column takes of the scores. Every count and index must equal the mistake
 kernel's (core._mistake_products) on the class's label matrix, member
 rows must equal the matrix's rows, and none of the class's training path
-may build the matrix.
+may build the matrix. Its errors against a mass table take the same closed
+form in masses and must equal the mass product to rounding, without the
+matrix.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from paclab import (
+    AdversaryInstance,
     CountTable,
     DiscreteDistribution,
     HypothesisClass,
@@ -25,13 +28,17 @@ from paclab import (
     SamplePieces,
     Schedule,
     TheoryConstants,
+    build_distribution,
     deviation_bound,
     enumerate_class,
+    erm,
     erm_many,
+    exact_progress_report,
+    least_frequent_learner,
     near_optimal_set,
     train,
 )
-from paclab import runner
+from paclab import measures, runner
 from paclab.config import parse_config_text
 from paclab.core import _member_rows
 from paclab.experts import _diagnostic_allowance
@@ -122,6 +129,83 @@ class TestClosedForms:
             assert (near_optimal_set(klass, table, gamma, allowance).tolist()
                     == near_optimal_set(plain, table, gamma, allowance).tolist())
         assert not klass.is_enumerated
+
+    @pytest.mark.parametrize("u, d", [(5, 2), (8, 3), (13, 1), (20, 2), (40, 3)])
+    def test_the_least_frequent_learner_is_erm_on_all_positive_tables(self, u, d):
+        """With only +1 labels each score is a point's count, so ERM labels
+        the d least-sampled points negative, ties lowest point first: the
+        adversary's learner."""
+        gen = RngStream(2901, u).generator()
+        klass = HypothesisClass.with_exact_negatives(u, d)
+        instance = AdversaryInstance(u, d, 0.0, 0)
+        for _ in range(60):
+            counts = np.zeros((u, 2), dtype=np.int64)
+            counts[:, 1] = gen.integers(0, int(gen.choice([2, 3, 6])), size=u)
+            counts[0, 1] += 1
+            table = CountTable(counts)
+            expected = klass.hypothesis(erm(klass, table)[0]).labels
+            assert least_frequent_learner(table, instance).labels.tolist() == expected.tolist()
+        assert not klass.is_enumerated
+
+
+class TestMassTableErrors:
+    @staticmethod
+    def random_dist(gen, u):
+        """A unit-mass table with zero cells, some of them whole points."""
+        mass = gen.random((u, 2))
+        mass[gen.random((u, 2)) < 0.3] = 0.0
+        mass[0, 1] += 0.5
+        return DiscreteDistribution(mass / mass.sum())
+
+    @pytest.mark.parametrize("enumerated", [False, True])
+    def test_errors_equal_the_mass_product_to_rounding(self, enumerated):
+        gen = RngStream(2902, int(enumerated)).generator()
+        for _ in range(300):
+            u = int(gen.integers(2, 40))
+            d = int(gen.integers(1, min(u, 4)))
+            klass = HypothesisClass.with_exact_negatives(u, d)
+            if enumerated:
+                enumerate_class(klass)
+            dist = self.random_dist(gen, u)
+            got = measures.row_errors(klass, dist)
+            product = measures.row_errors(as_matrix_class(klass), dist)
+            assert got.shape == product.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, product, rtol=0.0, atol=1e-15)
+            assert abs(got.min() - product.min()) <= 1e-15
+            assert klass.is_enumerated == enumerated
+
+    def test_a_class_past_the_row_cap_is_refused(self):
+        klass = HypothesisClass.with_exact_negatives(1415, 2)
+        dist = DiscreteDistribution(np.full((1415, 2), 1 / 2830))
+        with pytest.raises(ValueError, match="enumeration cap"):
+            measures.row_errors(klass, dist)
+
+    def test_the_progress_report_at_the_row_cap_builds_no_matrix(self):
+        """u = 1414, d = 2 has 998,991 members, the most under the row cap.
+        Its label matrix would take 1.4 GB and the mass product's float
+        casts about 14 GB; the report, the members and the 16 MB negatives
+        index they are read from stay within 64 MB together. Any
+        two members differ on at least two points, which the first pair's
+        conditional leaves without mass, so the optimum there is zero."""
+        u = 1414
+        instance = AdversaryInstance(u, 2, 0.5, 123_456)
+        dist = build_distribution(instance)
+        tracemalloc.start()
+        try:
+            klass = HypothesisClass.with_exact_negatives(u, 2)
+            pairs = [(klass.hypothesis(i), klass.hypothesis(j)) for i, j in [(0, 1), (5_000, 777_777)]]
+            trace = dataclasses.replace(
+                one_round_trace(CountTable(np.ones((3, 2), dtype=np.int64)), [0], 1),
+                selected=tuple(pairs), selected_indices=((0, 1), (5_000, 777_777)),
+            )
+            report = exact_progress_report(trace, klass, dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        assert not klass.is_enumerated
+        assert abs(report.base_error - instance.opt_error) <= 1e-15
+        assert [r.best_conditional_error for r in report.records] == [report.base_error, 0.0, 0.0]
 
 
 class TestMemberRows:
